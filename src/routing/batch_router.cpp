@@ -532,25 +532,6 @@ net::EntanglementTree BatchRouter::route_pair(net::NodeId source,
                                               net::NodeId target,
                                               net::CapacityState& capacity) {
   const net::NodeId pending[1] = {target};
-  if (cache_enabled_) {
-    // Pairs skip begin_scope on purpose: their slabs stay addressable
-    // across groups AND across route calls, so a later batch over the same
-    // capacity lineage (commits since released — SessionService's steady
-    // state) answers the repeat request from the slab with no Dijkstra.
-    // Validity is carried entirely by tree_for's state-id + flip-replay
-    // check, not by scope hygiene.
-    const std::size_t slot = tree_for(source, pending, capacity);
-    const double* dist = slab_dist_.data() + slot * node_count_;
-    if (dist[target] == kInf) return make_tree({}, false);
-    net::Channel channel = extract_channel(slot, source, target);
-    capacity.commit_channel(channel.path);
-    std::vector<net::Channel> committed;
-    committed.push_back(std::move(channel));
-    return make_tree(std::move(committed), true);
-  }
-
-  // Cache disabled: nothing can ever be reused, so don't materialize a
-  // slab — extract the single channel straight from the SPF workspace.
   run_spf(source, pending, capacity);
   graph::spf::SpfWorkspace& ws = graph::spf::thread_context().workspace;
   if (!ws.settled(target)) return make_tree({}, false);

@@ -77,6 +77,9 @@ struct BatchGroupOutcome {
   /// Index into the original request list.
   std::size_t request_index = 0;
   net::EntanglementTree tree;
+  /// True when the router found a tree but the tree_fits_capacity admission
+  /// guard refused it (only the generic registry pass sets this).
+  bool capacity_guard = false;
 };
 
 /// Mirror of ext::MultiGroupResult, at the routing layer.
@@ -118,7 +121,7 @@ class BatchRouter {
                     const BatchOptions& options, support::Rng& rng);
 
   /// Routes `requests` against an externally owned pool: committed channels
-  /// deduct from `capacity` (this is how SessionService admits a burst of
+  /// deduct from `capacity` (this is how SessionService admits each slot's
   /// arrivals against the live residual state).
   BatchResult route_shared(std::span<const BatchRequest> requests,
                            const BatchOptions& options, support::Rng& rng,
@@ -195,13 +198,10 @@ class BatchRouter {
                const net::CapacityState& capacity);
 
   /// Pair-request fast path: a 2-user group needs exactly one channel from
-  /// one source, so the general grow loop's selection scan is skipped. The
-  /// pair's slab deliberately outlives the group (no begin_scope): repeat
-  /// requests over the same capacity lineage — SessionService arrivals
-  /// after earlier sessions released — hit the slab cache and pay no
-  /// Dijkstra. With caching disabled the channel is extracted straight
-  /// from the SPF workspace and no slab is materialized. Either way the
-  /// result is bit-identical to the general path.
+  /// one source, so the general grow loop's selection scan is skipped and
+  /// the channel is extracted straight from the SPF workspace — no slab is
+  /// materialized, so pair traffic keeps no per-source state across calls.
+  /// Bit-identical to the general path.
   net::EntanglementTree route_pair(net::NodeId source, net::NodeId target,
                                    net::CapacityState& capacity);
 

@@ -174,11 +174,12 @@ BatchResult Router::route_batch_impl(const net::QuantumNetwork& network,
       outcome.tree = route_impl(view, group.users, rng, options);
       // Admission guard: a capacity-oblivious algorithm may return a tree
       // the residual pool cannot host. Such a group is deferred, not
-      // trimmed (same contract as SessionService::admit).
+      // trimmed, and flagged so a service can name the reason.
       if (outcome.tree.feasible &&
           !tree_fits_capacity(network, outcome.tree, capacity)) {
         outcome.tree.feasible = false;
         outcome.tree.rate = 0.0;
+        outcome.capacity_guard = true;
       }
       if (outcome.tree.feasible) {
         for (const net::Channel& ch : outcome.tree.channels) {

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "routing/plan.hpp"
-#include "routing/prim_based.hpp"
 #include "support/telemetry/telemetry.hpp"
 
 namespace muerp::sim {
@@ -141,9 +138,8 @@ bool SessionService::validate_batch_combination(const std::string& algorithm,
                                                 routing::BatchPolicy policy,
                                                 std::size_t burst,
                                                 std::string* error) const {
-  if ((burst > 1 || config_.batch_single_arrivals) &&
-      policy == routing::BatchPolicy::kFairShare && !algorithm.empty() &&
-      algorithm != "alg4") {
+  if (burst > 1 && policy == routing::BatchPolicy::kFairShare &&
+      !algorithm.empty() && algorithm != "alg4") {
     if (error != nullptr) {
       *error =
           "fair-share burst admission needs the batch-native kernel "
@@ -158,8 +154,8 @@ bool SessionService::validate_batch_combination(const std::string& algorithm,
 void SessionService::ensure_admission_state() {
   if (router_ != nullptr) {
     if (!residual_view_) residual_view_.emplace(*network_);
-  } else if (config_.arrival_burst > 1 || config_.batch_single_arrivals) {
-    if (!batch_router_) batch_router_.emplace(*network_);
+  } else if (!batch_router_) {
+    batch_router_.emplace(*network_);
   }
 }
 
@@ -185,7 +181,6 @@ bool SessionService::set_arrival_burst(std::size_t burst,
     return false;
   }
   config_.arrival_burst = burst;
-  ensure_admission_state();
   return true;
 }
 
@@ -250,67 +245,6 @@ double SessionService::qubit_utilization() const noexcept {
   return static_cast<double>(held) / static_cast<double>(total_switch_qubits_);
 }
 
-net::EntanglementTree SessionService::admit(
-    const std::vector<net::NodeId>& group, bool* capacity_guard) {
-  const auto seed =
-      static_cast<std::size_t>(rng_->uniform_index(group.size()));
-  if (router_ == nullptr) {
-    // prim_based_shared deducts as it commits; on failure, roll the partial
-    // commits back so a rejected session holds nothing.
-    auto tree = routing::prim_based_shared(*network_, group, seed, capacity_);
-    if (!tree.feasible) {
-      for (const net::Channel& ch : tree.channels) {
-        capacity_.release_channel(ch.path);
-      }
-    }
-    return tree;
-  }
-  // Registry algorithms see the residual network: a copy whose switch
-  // budgets are the qubits currently free, so capacity-aware routers route
-  // around held qubits. The cached view patches only the budgets that
-  // changed since the last admission; the rebuild_residual_view oracle knob
-  // keeps the historical from-scratch construction for bit-identity tests.
-  std::optional<net::QuantumNetwork> rebuilt;
-  const net::QuantumNetwork* residual = nullptr;
-  if (config_.rebuild_residual_view) {
-    std::vector<net::NodeKind> kinds(network_->node_count());
-    std::vector<int> residual_qubits(network_->node_count());
-    for (std::size_t i = 0; i < network_->node_count(); ++i) {
-      const auto v = static_cast<net::NodeId>(i);
-      kinds[i] = network_->kind(v);
-      residual_qubits[i] = network_->is_switch(v) ? capacity_.free_qubits(v)
-                                                  : network_->qubits(v);
-    }
-    rebuilt.emplace(
-        network_->graph(),
-        std::vector<support::Point2D>(network_->positions().begin(),
-                                      network_->positions().end()),
-        std::move(kinds), std::move(residual_qubits), network_->physical());
-    residual = &*rebuilt;
-  } else {
-    residual = &residual_view_->sync(capacity_);
-  }
-  routing::RoutingRequest request;
-  request.network = residual;
-  request.users = group;
-  request.rng = rng_;
-  request.options = config_.router_options;
-  net::EntanglementTree tree = router_->route_tree(request);
-  // Admission guard: a capacity-oblivious baseline may return a tree the
-  // residual network cannot host. Such a session is rejected, not trimmed.
-  if (tree.feasible &&
-      !routing::tree_fits_capacity(*network_, tree, capacity_)) {
-    tree.feasible = false;
-    if (capacity_guard != nullptr) *capacity_guard = true;
-  }
-  if (tree.feasible) {
-    for (const net::Channel& ch : tree.channels) {
-      capacity_.commit_channel(ch.path);
-    }
-  }
-  return tree;
-}
-
 void SessionService::admit_batch(SlotReport& report) {
   const std::size_t burst = batch_groups_.size();
   report.arrived = true;
@@ -322,10 +256,14 @@ void SessionService::admit_batch(SlotReport& report) {
   for (const std::vector<net::NodeId>& group : batch_groups_) {
     batch_requests_.push_back({std::span<const net::NodeId>(group)});
   }
+  // A lone arrival (arrival_burst 1) is admitted in given order: the policy
+  // is documented as ignored there, and greedy or fair-share on a batch of
+  // one would change tie-breaks against the historical per-arrival pass.
+  const bool single = config_.arrival_burst == 1;
   routing::BatchOptions options;
-  options.policy = config_.batch_policy;
-  // Service semantics: a rejected session holds nothing (the same rollback
-  // admit() performs for the shared-Prim path).
+  options.policy =
+      single ? routing::BatchPolicy::kGivenOrder : config_.batch_policy;
+  // Service semantics: a rejected session holds nothing.
   options.release_on_failure = true;
   if (config_.admit_us != nullptr) {
     options.admit_us = &admit_us_scratch_;  // kernel clears it per call
@@ -352,7 +290,7 @@ void SessionService::admit_batch(SlotReport& report) {
     result = router_->route_batch_trees(request);
   }
 
-  // One routing call admits the whole burst, so every record of the batch
+  // One routing call admits the whole slot, so every record of the batch
   // carries the same batch-level work delta (documented on RoutingWork).
   const auto batch_work =
       recording ? support::telemetry::routing_work_delta(
@@ -363,13 +301,14 @@ void SessionService::admit_batch(SlotReport& report) {
                              admit_us_scratch_.end());
   }
 
-  // Per-session accounting in admission order, mirroring the single-arrival
-  // path field for field. A rejection is a CONTENTION loss when batch
-  // siblings were served this slot — the policy granted them the capacity
-  // this group was refused; with nothing served (or a batch of one) the
-  // residual network simply had no feasible tree.
+  // Per-session accounting in admission order. A rejection is a CAPACITY
+  // GUARD refusal when the router's tree did not fit the free qubits, and a
+  // CONTENTION loss when batch siblings were served this slot — the policy
+  // granted them the capacity this group was refused; with nothing served
+  // (or a batch of one) the residual network simply had no feasible tree.
   const bool contended = batch_groups_.size() > 1 && result.groups_served > 0;
-  const char* policy_label = routing::batch_policy_name(config_.batch_policy);
+  const char* policy_label =
+      single ? "single" : routing::batch_policy_name(options.policy);
   for (routing::BatchGroupOutcome& outcome : result.outcomes) {
     const std::vector<net::NodeId>& group =
         batch_groups_[outcome.request_index];
@@ -413,15 +352,21 @@ void SessionService::admit_batch(SlotReport& report) {
                              field("slot", slot_), field("group_size", size),
                              field("active", active_.size()),
                              field("qubit_utilization", utilization));
+      // Rejection with most of the qubit pool pledged is saturation (the
+      // switch fabric, not the topology, refused the session).
       if (utilization >= 0.9) {
         MUERP_COUNTER_INC("session/switch_saturation");
         MUERP_LOG_INFO("session/switch_saturation", field("slot", slot_),
                        field("qubit_utilization", utilization),
                        field("active", active_.size()));
       }
-      const auto reason =
-          contended ? support::telemetry::RejectReason::kContentionLoss
-                    : support::telemetry::RejectReason::kNoFeasibleTree;
+      using support::telemetry::RejectReason;
+      RejectReason reason = RejectReason::kNoFeasibleTree;
+      if (outcome.capacity_guard) {
+        reason = RejectReason::kCapacityGuard;
+      } else if (contended) {
+        reason = RejectReason::kContentionLoss;
+      }
       count_reject_reason(reason);
       if (recording) {
         auto draft = make_record_draft(slot_, group, config_.algorithm,
@@ -432,7 +377,8 @@ void SessionService::admit_batch(SlotReport& report) {
         config_.recorder->reject(std::move(draft));
       }
       if (config_.ledger != nullptr) {
-        config_.ledger->record_reject(make_touch(tree), contended, slot_);
+        config_.ledger->record_reject(
+            make_touch(tree), reason == RejectReason::kContentionLoss, slot_);
       }
     }
   }
@@ -444,15 +390,11 @@ SlotReport SessionService::step() {
 
   // 1. Arrivals: the central node routes against residual capacity. The
   //    enabled check comes first so a draining service (arrivals off) skips
-  //    the draw; when enabled and arrival_burst <= 1 the Rng sequence is the
-  //    untouched historical one. Burst intake (arrival_burst > 1) draws its
-  //    whole burst up front and admits it as one batch — a new, documented
-  //    draw sequence. batch_single_arrivals routes a lone arrival through
-  //    the same batch path as a batch of one; with arrival_burst == 1 that
-  //    is STILL the historical draw sequence (bernoulli, size, members,
-  //    then the kernel's uniform_index seed — exactly what admit() drew).
-  if (arrivals_enabled_ &&
-      (config_.arrival_burst > 1 || config_.batch_single_arrivals)) {
+  //    the draw. Every group of the slot is drawn before any routing, then
+  //    the whole slot is admitted as one batch; at arrival_burst 1 that is
+  //    the historical draw sequence (bernoulli, size, members, then the
+  //    kernel's uniform_index seed).
+  if (arrivals_enabled_) {
     batch_groups_.clear();
     for (std::size_t a = 0; a < config_.arrival_burst; ++a) {
       if (!rng_->bernoulli(config_.params.arrival_prob_per_slot)) continue;
@@ -468,102 +410,6 @@ SlotReport SessionService::step() {
       batch_groups_.push_back(std::move(group));
     }
     if (!batch_groups_.empty()) admit_batch(report);
-  } else if (arrivals_enabled_ &&
-             rng_->bernoulli(config_.params.arrival_prob_per_slot)) {
-    report.arrived = true;
-    report.arrivals = 1;
-    ++totals_.sessions_arrived;
-    MUERP_COUNTER_INC("session/arrived");
-    const std::size_t size =
-        config_.params.min_group_size +
-        rng_->uniform_index(config_.params.max_group_size -
-                            config_.params.min_group_size + 1);
-    std::vector<net::NodeId> group;
-    for (std::size_t idx :
-         rng_->sample_indices(network_->users().size(), size)) {
-      group.push_back(network_->users()[idx]);
-    }
-    const std::uint64_t admit_t0 =
-        config_.admit_us != nullptr
-            ? support::telemetry::monotonic_now_ns()
-            : 0;
-    const bool recording = config_.recorder != nullptr;
-    const auto work_before = recording
-                                 ? support::telemetry::capture_routing_work()
-                                 : support::telemetry::RoutingWork{};
-    bool capacity_guard = false;
-    auto tree = admit(group, &capacity_guard);
-    const auto admit_work =
-        recording
-            ? support::telemetry::routing_work_delta(
-                  work_before, support::telemetry::capture_routing_work())
-            : support::telemetry::RoutingWork{};
-    if (config_.admit_us != nullptr) {
-      config_.admit_us->push_back(
-          static_cast<double>(support::telemetry::monotonic_now_ns() -
-                              admit_t0) /
-          1e3);
-    }
-    if (tree.feasible) {
-      report.admitted = true;
-      report.admissions = 1;
-      report.admitted_rate = tree.rate;
-      report.admitted_rate_sum = tree.rate;
-      ++totals_.sessions_admitted;
-      MUERP_COUNTER_INC("session/admitted");
-      MUERP_HISTOGRAM_OBSERVE("session/admitted_rate_ppm", tree.rate * 1e6);
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/admitted",
-                             field("slot", slot_), field("group_size", size),
-                             field("rate", tree.rate),
-                             field("channels", tree.channels.size()),
-                             field("active", active_.size() + 1));
-      std::uint64_t record_id = 0;
-      if (recording) {
-        auto draft =
-            make_record_draft(slot_, group, config_.algorithm, "single");
-        draft.work = admit_work;
-        draft.tree_rate = tree.rate;
-        draft.tree_channels = static_cast<std::uint32_t>(tree.channels.size());
-        record_id = config_.recorder->open(std::move(draft));
-      }
-      auto touch = make_touch(tree);
-      if (config_.ledger != nullptr) {
-        config_.ledger->record_admit(touch, slot_);
-      }
-      active_.push_back(
-          {std::move(tree), slot_, size, record_id, std::move(touch)});
-    } else {
-      ++totals_.sessions_rejected;
-      const double utilization = qubit_utilization();
-      MUERP_COUNTER_INC("session/rejected");
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/rejected",
-                             field("slot", slot_), field("group_size", size),
-                             field("active", active_.size()),
-                             field("qubit_utilization", utilization));
-      // Rejection with most of the qubit pool pledged is saturation (the
-      // switch fabric, not the topology, refused the session).
-      if (utilization >= 0.9) {
-        MUERP_COUNTER_INC("session/switch_saturation");
-        MUERP_LOG_INFO("session/switch_saturation", field("slot", slot_),
-                       field("qubit_utilization", utilization),
-                       field("active", active_.size()));
-      }
-      const auto reason =
-          capacity_guard ? support::telemetry::RejectReason::kCapacityGuard
-                         : support::telemetry::RejectReason::kNoFeasibleTree;
-      count_reject_reason(reason);
-      if (recording) {
-        auto draft =
-            make_record_draft(slot_, group, config_.algorithm, "single");
-        draft.work = admit_work;
-        draft.reject_reason = reason;
-        draft.saturated = utilization >= 0.9;
-        config_.recorder->reject(std::move(draft));
-      }
-      if (config_.ledger != nullptr) {
-        config_.ledger->record_reject(make_touch(tree), false, slot_);
-      }
-    }
   }
 
   // 2. Execution windows: every active session attempts its whole tree;

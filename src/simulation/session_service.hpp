@@ -10,12 +10,15 @@
 // timeout expiry — and reports what happened. ProtocolSimulator delegates
 // to it verbatim (same Rng call sequence, so seeded results are unchanged).
 //
-// Admission routing is pluggable: the default empty `algorithm` uses the
-// capacity-sharing Prim pass (routing::prim_based_shared) the simulator
-// always used; naming a routing::RouterRegistry entry ("alg3", "eqcast",
-// ...) instead routes each arrival on a residual-capacity copy of the
-// network, after which the returned tree is admitted only if it fits the
-// qubits actually free — so even a capacity-oblivious baseline cannot
+// Every arrival takes one admission path: the slot's arrivals are handed to
+// the routing kernel as one batch (a batch of one at arrival_burst 1). The
+// default empty `algorithm` routes through the service's persistent
+// routing::BatchRouter — Algorithm 4's capacity-sharing Prim growth, bit-
+// identical in decisions and Rng draws to routing::prim_based_shared with
+// rollback. Naming a routing::RouterRegistry entry ("alg3", "eqcast", ...)
+// instead routes through Router::route_batch_trees over a cached residual-
+// capacity view, after which a returned tree is admitted only if it fits
+// the qubits actually free — so even a capacity-oblivious baseline cannot
 // oversubscribe a switch.
 //
 // Every step emits structured telemetry: session/* counters, gauges for
@@ -55,39 +58,23 @@ struct SessionServiceConfig {
   /// instead of milliseconds. Suppressed counts are readable via
   /// SessionService::log_events_suppressed().
   double log_events_per_second = 0.0;
-  /// Arrival attempts per slot. 1 (the default) keeps the historical loop
-  /// — one Bernoulli draw, one admit() — and its exact Rng sequence.
-  /// Larger values draw up to `arrival_burst` independent Bernoulli
-  /// arrivals per slot and admit them as ONE batch through the routing
-  /// kernel, amortizing CSR builds and residual-view syncs across the
-  /// burst. This is a different (documented) Rng sequence: all arrival
-  /// groups are generated before any routing happens.
+  /// Arrival attempts per slot. Each slot draws up to `arrival_burst`
+  /// independent Bernoulli arrivals, generates every group, then admits
+  /// them as ONE batch through the routing kernel. At 1 (the default) this
+  /// is the historical draw order — bernoulli, size, members, then the
+  /// kernel's seed user — so ProtocolSimulator's seeded results are
+  /// unchanged.
   std::size_t arrival_burst = 1;
   /// Contention-resolution policy for burst admission (ignored when
-  /// arrival_burst <= 1). kFairShare requires the batch-native kernel:
-  /// empty `algorithm` or "alg4".
+  /// arrival_burst <= 1, where a lone arrival is admitted in given order).
+  /// kFairShare requires the batch-native kernel: empty `algorithm` or
+  /// "alg4".
   routing::BatchPolicy batch_policy = routing::BatchPolicy::kGivenOrder;
-  /// Routes single arrivals (arrival_burst <= 1) through the batch kernel as
-  /// a batch of one instead of the cold per-arrival prim_based_shared pass.
-  /// Admission decisions AND the Rng draw sequence are bit-identical to the
-  /// historical path (the kernel draws the same uniform_index seed before
-  /// routing, and route_one is bit-identical to prim_based_shared — tests
-  /// assert both); what changes is cost: the kernel's slot-major slabs and
-  /// pair fast path persist across slots, so steady-state admissions skip
-  /// the per-arrival Dijkstra rebuild. This is the lever the sharded
-  /// session plane uses for its per-lane throughput.
-  bool batch_single_arrivals = false;
   /// Optional admission-latency sink: when set, every routed arrival
   /// appends its admission wall time in microseconds (admitted or not, in
   /// admission order). The vector is appended to, never cleared — callers
-  /// own its lifetime and reset. Used by bench/session_throughput for
-  /// p50/p95/p99.
+  /// own its lifetime and reset.
   std::vector<double>* admit_us = nullptr;
-  /// Oracle knob: reconstruct the registry router's residual network from
-  /// scratch on every admission (the historical O(topology) path) instead
-  /// of syncing the cached ResidualNetworkView. Admission decisions are
-  /// bit-identical either way — tests assert it.
-  bool rebuild_residual_view = false;
   /// Optional flight recorder: when set, every arrival opens (or finalizes,
   /// for rejections) a SessionRecord and every terminal event closes it.
   /// The recorder never touches the Rng, so admission decisions and the
@@ -136,6 +123,8 @@ struct SlotReport {
   std::size_t active_sessions = 0;
   /// Fraction of all switch qubits pledged after this slot.
   double qubit_utilization = 0.0;
+
+  bool operator==(const SlotReport&) const = default;
 };
 
 class SessionService {
@@ -184,9 +173,8 @@ class SessionService {
     return config_.params.arrival_prob_per_slot;
   }
 
-  /// Arrival attempts per slot (>= 1). Switching 1 <-> N changes which
-  /// (documented) draw sequence later slots use, exactly as if the service
-  /// had been constructed with the new value.
+  /// Arrival attempts per slot (>= 1). Later slots draw and admit exactly
+  /// as if the service had been constructed with the new value.
   bool set_arrival_burst(std::size_t burst, std::string* error = nullptr);
   std::size_t arrival_burst() const noexcept { return config_.arrival_burst; }
 
@@ -231,20 +219,13 @@ class SessionService {
     support::telemetry::TreeTouch touch;
   };
 
-  /// Routes one arrival group; returns a feasible tree already committed to
-  /// capacity_, or an infeasible one with nothing held. `capacity_guard`
-  /// (when non-null) is set when a registry router's tree was refused by
-  /// the admission capacity guard rather than found infeasible.
-  net::EntanglementTree admit(const std::vector<net::NodeId>& group,
-                              bool* capacity_guard = nullptr);
-
-  /// Admits the burst staged in batch_groups_ as one batch: routes them
-  /// through the batch kernel against capacity_, then applies the same
-  /// per-session counters/logs admit() arrivals get, in admission order.
+  /// Admits the arrivals staged in batch_groups_ as one batch through the
+  /// routing kernel against capacity_, then applies the per-session
+  /// counters, logs, flight records and ledger entries in admission order.
   void admit_batch(SlotReport& report);
 
-  /// (Re)creates the residual view / batch kernel the current algorithm +
-  /// intake mode needs — shared by the constructor and the runtime setters.
+  /// (Re)creates the residual view / batch kernel the current algorithm
+  /// needs — shared by the constructor and set_algorithm().
   void ensure_admission_state();
 
   /// Ledger indices of every channel traversal (edges) and 2-qubit relay
@@ -266,13 +247,13 @@ class SessionService {
   bool arrivals_enabled_ = true;
   support::telemetry::LogTokenBucket log_bucket_;
 
-  /// Cached residual-network copy for registry admission (satellite fix:
-  /// the historical code rebuilt this O(topology) object every arrival).
+  /// Cached residual-network copy for registry admission: each batch
+  /// patches only the switch budgets that changed since the last one.
   std::optional<net::ResidualNetworkView> residual_view_;
-  /// Persistent batch kernel for burst intake with the built-in shared-Prim
-  /// admission (slab arrays survive across slots).
+  /// Persistent batch kernel for the built-in shared-Prim admission (slab
+  /// arrays survive across slots).
   std::optional<routing::BatchRouter> batch_router_;
-  /// Scratch: this slot's burst of arrival groups and their request views.
+  /// Scratch: this slot's arrival groups and their request views.
   std::vector<std::vector<net::NodeId>> batch_groups_;
   std::vector<routing::BatchRequest> batch_requests_;
   /// Scratch for per-route admission latencies (BatchOptions::admit_us is

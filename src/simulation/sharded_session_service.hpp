@@ -12,11 +12,10 @@
 // The unit of determinism is the LANE, not the thread. A lane is a fixed
 // logical partition of the traffic: its own support::Rng stream (split from
 // the service seed, the scenario.cpp idiom), its own slice of every
-// switch's qubit budget, and its own embedded SessionService whose
-// persistent BatchRouter keeps routing slabs warm across slots
-// (batch_single_arrivals). SHARDS are merely the worker threads that step
-// the lanes — ThreadPool::parallel_for strides lanes across at most
-// shard_count workers. Because the lane decomposition never changes and the
+// switch's qubit budget, and its own embedded SessionService, which admits
+// through its own persistent routing kernel. SHARDS are merely the worker
+// threads that step the lanes — ThreadPool::parallel_for strides lanes
+// across at most shard_count workers. Because the lane decomposition never changes and the
 // merge walks lanes in index order, every metric and every admission
 // decision is bit-identical across shard counts: 1 worker, 2 workers and 8
 // workers produce the same merged totals (tests assert it), and a

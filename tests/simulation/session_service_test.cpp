@@ -7,18 +7,28 @@
 
 #include "experiment/scenario.hpp"
 #include "simulation/protocol.hpp"
+#include "session_reference.hpp"
 
 namespace muerp::sim {
 namespace {
 
-net::QuantumNetwork service_network(std::uint64_t seed = 11) {
+net::QuantumNetwork service_network(std::uint64_t seed = 11,
+                                    int qubits_per_switch = 6,
+                                    double attenuation = 2e-5) {
   experiment::Scenario s;
   s.switch_count = 30;
   s.user_count = 8;
-  s.qubits_per_switch = 6;
-  s.attenuation = 2e-5;
+  s.qubits_per_switch = qubits_per_switch;
+  s.attenuation = attenuation;
   s.seed = seed;
   return experiment::instantiate(s, 0).network;
+}
+
+/// Two qubits per switch (one relay each) and lossy fibers, so sessions
+/// hold their switches for many slots and arrivals collide on them.
+net::QuantumNetwork tight_network(std::uint64_t seed = 11) {
+  return service_network(seed, /*qubits_per_switch=*/2,
+                         /*attenuation=*/1e-4);
 }
 
 ProtocolParams light_params() {
@@ -135,6 +145,51 @@ TEST(SessionService, RegistryAlgorithmNeverOversubscribesCapacity) {
   }
 }
 
+#if MUERP_TELEMETRY_ENABLED
+TEST(SessionService, CapacityGuardRejectionsKeepTheirReason) {
+  // Algorithm 2 pinned at its sufficient condition routes on a copy with
+  // every switch boosted to 2|U| qubits, so on a loaded fabric it returns
+  // trees the free qubits cannot host. Single arrivals and bursts both go
+  // through the batch intake, and both must file those refusals as
+  // capacity_guard.
+  using support::telemetry::RejectReason;
+  using support::telemetry::SessionFilter;
+  using support::telemetry::SessionRecorder;
+  using support::telemetry::SessionState;
+  const support::telemetry::Counter guard_counter(
+      "muerpd/rejects/capacity_guard");
+  for (const std::size_t burst : {std::size_t{1}, std::size_t{3}}) {
+    const auto net = tight_network(17);
+    ProtocolParams params;
+    params.arrival_prob_per_slot = 0.5;
+    SessionRecorder recorder({.capacity = 1 << 16});
+    SessionServiceConfig config;
+    config.params = params;
+    config.algorithm = "alg2";
+    config.router_options.pin_alg2_sufficient = true;
+    config.arrival_burst = burst;
+    config.recorder = &recorder;
+    support::Rng rng(9);
+    SessionService service(net, config, rng);
+
+    const std::uint64_t before =
+        support::telemetry::counter_thread_value(guard_counter.id());
+    run_stepped(service, 1500);
+    const std::uint64_t raised =
+        support::telemetry::counter_thread_value(guard_counter.id()) - before;
+
+    SessionFilter rejected;
+    rejected.state = SessionState::kRejected;
+    std::uint64_t guarded = 0;
+    for (const auto& record : recorder.records(rejected)) {
+      if (record.reject_reason == RejectReason::kCapacityGuard) ++guarded;
+    }
+    EXPECT_GT(raised, 0u) << "burst " << burst;
+    EXPECT_EQ(guarded, raised) << "burst " << burst;
+  }
+}
+#endif  // MUERP_TELEMETRY_ENABLED
+
 TEST(SessionService, UnknownAlgorithmThrows) {
   const auto net = service_network();
   SessionServiceConfig config;
@@ -206,45 +261,61 @@ TEST(SessionService, LogRateLimitCountsSuppressedSessionEvents) {
 #endif
 }
 
+void expect_metrics_identical(const ProtocolMetrics& a,
+                              const ProtocolMetrics& b) {
+  EXPECT_EQ(a.sessions_arrived, b.sessions_arrived);
+  EXPECT_EQ(a.sessions_admitted, b.sessions_admitted);
+  EXPECT_EQ(a.sessions_rejected, b.sessions_rejected);
+  EXPECT_EQ(a.sessions_completed, b.sessions_completed);
+  EXPECT_EQ(a.sessions_timed_out, b.sessions_timed_out);
+  EXPECT_EQ(a.sessions_in_flight, b.sessions_in_flight);
+  EXPECT_EQ(a.mean_completion_slots, b.mean_completion_slots);  // bitwise
+  EXPECT_EQ(a.mean_qubit_utilization, b.mean_qubit_utilization);
+}
+
+/// Every arrival is admitted through the routing kernel as a batch of one.
+/// Steps the service in lockstep with the test-side per-arrival loop:
+/// per-slot reports, metrics and the continuing Rng stream must agree bit
+/// for bit — one extra or missing draw would derail the trajectory within
+/// a few slots.
+void expect_lockstep_with_reference(const char* algorithm) {
+  const auto net = tight_network();
+  ProtocolParams params = light_params();
+  params.horizon_slots = 2000;
+  params.arrival_prob_per_slot = 0.3;
+  SessionServiceConfig config{params, algorithm, {}};
+  config.router_options.pin_alg2_sufficient = false;
+
+  support::Rng service_rng(29);
+  support::Rng reference_rng(29);
+  SessionService service(net, config, service_rng);
+  reference::ReferenceSessionLoop reference(
+      net, params, algorithm, config.router_options, reference_rng);
+  for (std::uint64_t i = 0; i < params.horizon_slots; ++i) {
+    ASSERT_TRUE(service.step() == reference.step())
+        << "'" << algorithm << "' slot " << i;
+  }
+  const ProtocolMetrics m = service.metrics();
+  expect_metrics_identical(m, reference.metrics());
+  EXPECT_EQ(service_rng.next(), reference_rng.next()) << algorithm;
+  // Both outcomes occur, so the rollback / guard paths are exercised.
+  EXPECT_GT(m.sessions_admitted, 0u) << algorithm;
+  EXPECT_GT(m.sessions_rejected, 0u) << algorithm;
+}
+
+TEST(SessionService, BatchSingleArrivalsBitIdenticalToHistoricalPath) {
+  // Built-in admission against the historical per-arrival path:
+  // prim_based_shared on the live capacities, rolled back on failure.
+  expect_lockstep_with_reference("");
+}
+
 TEST(SessionService, CachedResidualViewMatchesRebuildOracle) {
-  // Satellite fix: registry admission used to reconstruct the full residual
-  // QuantumNetwork every arrival. The cached ResidualNetworkView patches
-  // switch budgets in place; admission decisions must be bit-identical.
-  for (const char* algorithm : {"alg3", "eqcast"}) {
-    const auto net = service_network();
-    ProtocolParams params = light_params();
-    params.horizon_slots = 1500;
-    params.arrival_prob_per_slot = 0.3;
-
-    SessionServiceConfig cached_config;
-    cached_config.params = params;
-    cached_config.algorithm = algorithm;
-    cached_config.router_options.pin_alg2_sufficient = false;
-    SessionServiceConfig oracle_config = cached_config;
-    oracle_config.rebuild_residual_view = true;
-
-    support::Rng cached_rng(13);
-    support::Rng oracle_rng(13);
-    SessionService cached(net, cached_config, cached_rng);
-    SessionService oracle(net, oracle_config, oracle_rng);
-
-    for (std::uint64_t i = 0; i < params.horizon_slots; ++i) {
-      const SlotReport a = cached.step();
-      const SlotReport b = oracle.step();
-      ASSERT_EQ(a.arrived, b.arrived) << algorithm << " slot " << i;
-      ASSERT_EQ(a.admitted, b.admitted) << algorithm << " slot " << i;
-      ASSERT_EQ(a.admitted_rate, b.admitted_rate)
-          << algorithm << " slot " << i;  // bitwise
-      ASSERT_EQ(a.completed, b.completed) << algorithm << " slot " << i;
-      ASSERT_EQ(a.timed_out, b.timed_out) << algorithm << " slot " << i;
-      ASSERT_EQ(a.qubit_utilization, b.qubit_utilization)
-          << algorithm << " slot " << i;
-    }
-    const ProtocolMetrics ma = cached.metrics();
-    const ProtocolMetrics mb = oracle.metrics();
-    EXPECT_EQ(ma.sessions_admitted, mb.sessions_admitted);
-    EXPECT_EQ(ma.sessions_rejected, mb.sessions_rejected);
-    EXPECT_GT(ma.sessions_arrived, 0u);
+  // Registry routers on the cached residual view against a residual network
+  // rebuilt from scratch every arrival, then route_tree, the capacity guard
+  // and commit.
+  for (const char* algorithm : {"alg3", "eqcast", "alg4ls"}) {
+    SCOPED_TRACE(algorithm);
+    expect_lockstep_with_reference(algorithm);
   }
 }
 
@@ -347,49 +418,6 @@ TEST(SessionService, BurstFairShareNeedsBatchNativeKernel) {
   EXPECT_NO_THROW(SessionService(net, config, rng3));
 }
 
-TEST(SessionService, BatchSingleArrivalsBitIdenticalToHistoricalPath) {
-  // batch_single_arrivals re-routes each single arrival through the batch
-  // kernel; decisions, metrics AND the Rng draw sequence must match the
-  // historical per-arrival path exactly. The Rng objects are compared via
-  // identical downstream behavior: both services keep producing identical
-  // slots for the whole horizon, which would diverge after one extra or
-  // missing draw.
-  const auto net = service_network();
-  ProtocolParams params = light_params();
-  params.horizon_slots = 2000;
-  params.arrival_prob_per_slot = 0.3;
-
-  SessionServiceConfig historical{params, "", {}};
-  support::Rng historical_rng(29);
-  SessionService historical_service(net, historical, historical_rng);
-
-  SessionServiceConfig batched{params, "", {}};
-  batched.batch_single_arrivals = true;
-  support::Rng batched_rng(29);
-  SessionService batched_service(net, batched, batched_rng);
-
-  for (std::uint64_t i = 0; i < params.horizon_slots; ++i) {
-    const SlotReport a = historical_service.step();
-    const SlotReport b = batched_service.step();
-    ASSERT_EQ(a.arrivals, b.arrivals) << "slot " << i;
-    ASSERT_EQ(a.admissions, b.admissions) << "slot " << i;
-    ASSERT_EQ(a.admitted_rate, b.admitted_rate) << "slot " << i;
-    ASSERT_EQ(a.admitted_rate_sum, b.admitted_rate_sum) << "slot " << i;
-    ASSERT_EQ(a.completed, b.completed) << "slot " << i;
-    ASSERT_EQ(a.timed_out, b.timed_out) << "slot " << i;
-    ASSERT_EQ(a.active_sessions, b.active_sessions) << "slot " << i;
-    ASSERT_EQ(a.qubit_utilization, b.qubit_utilization) << "slot " << i;
-  }
-  const ProtocolMetrics expected = historical_service.metrics();
-  const ProtocolMetrics actual = batched_service.metrics();
-  EXPECT_EQ(actual.sessions_arrived, expected.sessions_arrived);
-  EXPECT_EQ(actual.sessions_admitted, expected.sessions_admitted);
-  EXPECT_EQ(actual.sessions_rejected, expected.sessions_rejected);
-  EXPECT_EQ(actual.sessions_completed, expected.sessions_completed);
-  EXPECT_EQ(actual.mean_completion_slots, expected.mean_completion_slots);
-  EXPECT_EQ(actual.mean_qubit_utilization, expected.mean_qubit_utilization);
-}
-
 TEST(SessionService, AdmittedRateSumSeesEveryAdmissionInABurst) {
   const auto net = service_network();
   ProtocolParams params = light_params();
@@ -426,24 +454,18 @@ TEST(SessionService, AdmitLatencySinkRecordsEveryRoutedArrival) {
   ProtocolParams params = light_params();
   params.horizon_slots = 800;
   params.arrival_prob_per_slot = 0.4;
-  // All three admission paths feed the sink: single historical, single
-  // batched, burst.
+  // Single arrivals and bursts both feed the sink.
   for (const std::size_t burst : {std::size_t{1}, std::size_t{3}}) {
-    for (const bool batch_single : {false, true}) {
-      if (burst > 1 && batch_single) continue;  // burst ignores the knob
-      std::vector<double> admit_us;
-      SessionServiceConfig config{params, "", {}};
-      config.arrival_burst = burst;
-      config.batch_single_arrivals = batch_single;
-      config.admit_us = &admit_us;
-      support::Rng rng(37);
-      SessionService service(net, config, rng);
-      const ProtocolMetrics m = run_stepped(service, params.horizon_slots);
-      ASSERT_GT(m.sessions_arrived, 0u);
-      EXPECT_EQ(admit_us.size(), m.sessions_arrived)
-          << "burst " << burst << " batch_single " << batch_single;
-      for (const double us : admit_us) EXPECT_GE(us, 0.0);
-    }
+    std::vector<double> admit_us;
+    SessionServiceConfig config{params, "", {}};
+    config.arrival_burst = burst;
+    config.admit_us = &admit_us;
+    support::Rng rng(37);
+    SessionService service(net, config, rng);
+    const ProtocolMetrics m = run_stepped(service, params.horizon_slots);
+    ASSERT_GT(m.sessions_arrived, 0u);
+    EXPECT_EQ(admit_us.size(), m.sessions_arrived) << "burst " << burst;
+    for (const double us : admit_us) EXPECT_GE(us, 0.0);
   }
 }
 

@@ -26,12 +26,10 @@ net::QuantumNetwork sharded_network(std::uint64_t seed = 11) {
 }
 
 ShardedSessionServiceConfig sharded_config(std::size_t lanes,
-                                           std::size_t shards,
-                                           bool batch_single = true) {
+                                           std::size_t shards) {
   ShardedSessionServiceConfig config;
   config.base.params.arrival_prob_per_slot = 0.4;
   config.base.params.session_timeout_slots = 40;
-  config.base.batch_single_arrivals = batch_single;
   config.lane_count = lanes;
   config.shard_count = shards;
   return config;
@@ -83,22 +81,19 @@ RunOutcome play(ShardedSessionService& service, std::uint64_t slots,
 TEST(ShardedSessionService, Lane1BitIdenticalToSessionService) {
   const auto net = sharded_network();
   // The 1-lane service must reproduce a plain SessionService on the same
-  // seed bit for bit — including with the historical (non-batch) admission
-  // path, which is the muerpd default.
-  for (const bool batch_single : {false, true}) {
-    ShardedSessionServiceConfig config =
-        sharded_config(/*lanes=*/1, /*shards=*/1, batch_single);
-    ShardedSessionService sharded(net, config, /*seed=*/7);
-    for (int i = 0; i < 500; ++i) sharded.step();
+  // seed bit for bit.
+  ShardedSessionServiceConfig config =
+      sharded_config(/*lanes=*/1, /*shards=*/1);
+  ShardedSessionService sharded(net, config, /*seed=*/7);
+  for (int i = 0; i < 500; ++i) sharded.step();
 
-    support::Rng rng(7);
-    SessionService plain(net, config.base, rng);
-    for (int i = 0; i < 500; ++i) plain.step();
+  support::Rng rng(7);
+  SessionService plain(net, config.base, rng);
+  for (int i = 0; i < 500; ++i) plain.step();
 
-    expect_metrics_identical(sharded.metrics(), plain.metrics());
-    EXPECT_EQ(sharded.active_sessions(), plain.active_sessions());
-    EXPECT_EQ(sharded.qubit_utilization(), plain.qubit_utilization());
-  }
+  expect_metrics_identical(sharded.metrics(), plain.metrics());
+  EXPECT_EQ(sharded.active_sessions(), plain.active_sessions());
+  EXPECT_EQ(sharded.qubit_utilization(), plain.qubit_utilization());
 }
 
 TEST(ShardedSessionService, MergedTotalsIdenticalAcrossShardCounts) {
@@ -256,7 +251,7 @@ TEST(ShardedSessionService, RunSlotsZeroReportsStateWithoutAdvancing) {
 TEST(ShardedSessionService, RuntimeSettersApplyToEveryLane) {
   const auto net = sharded_network();
   ShardedSessionServiceConfig config =
-      sharded_config(/*lanes=*/4, /*shards=*/2, /*batch_single=*/false);
+      sharded_config(/*lanes=*/4, /*shards=*/2);
   ShardedSessionService service(net, config, /*seed=*/7);
   service.run_slots(200);
 

@@ -953,17 +953,22 @@ TEST(MuerpdSmoke, HistoryLifetimeCarriesRejectionOnlyTraffic) {
 }
 
 TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
-  const std::string command =
-      std::string(MUERPD_BINARY) +
-      " --port 0 --slots 1 --algorithm no-such-router 2>/dev/null";
-  FILE* pipe = ::popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
-  char line[256];
-  while (std::fgets(line, sizeof line, pipe) != nullptr) {
+  // An unknown router, and a fair-share burst on a router without the
+  // batch-native kernel (refused by the service's own validation).
+  for (const char* args :
+       {"--algorithm no-such-router",
+        "--arrival-burst 2 --batch-policy fair-share --algorithm alg3"}) {
+    const std::string command = std::string(MUERPD_BINARY) +
+                                " --port 0 --slots 1 " + args + " 2>/dev/null";
+    FILE* pipe = ::popen(command.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    char line[256];
+    while (std::fgets(line, sizeof line, pipe) != nullptr) {
+    }
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_NE(WEXITSTATUS(status), 0) << args;
   }
-  const int status = ::pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_NE(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

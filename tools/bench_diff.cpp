@@ -139,12 +139,6 @@ int main(int argc, char** argv) {
                "--batch-current is also given)",
                "");
   cli.add_flag("batch-current", "freshly generated batch_routing JSON", "");
-  cli.add_flag("session-baseline",
-               "committed session_throughput JSON (gates run only when "
-               "--session-current is also given)",
-               "");
-  cli.add_flag("session-current", "freshly generated session_throughput JSON",
-               "");
   cli.add_flag("tolerance", "allowed relative drift (0.15 = 15%)", "0.15");
   cli.add_flag("allow-rate-drift",
                "rate array mismatch warns instead of failing");
@@ -345,107 +339,6 @@ int main(int argc, char** argv) {
       }
     } else {
       std::cout << "(batch telemetry snapshot missing from one side; "
-                   "counter gates skipped)\n";
-    }
-  }
-
-  // Sharded session-plane gates (bench/session_throughput output). The
-  // sessions/sec speedup of the 8-shard arm over the cold single-service
-  // baseline is machine-relative and gates drop-only; the two bit-identity
-  // flags (1-lane sharded == SessionService, merged metrics equal across
-  // shard counts) and the merged session counts are exact; the per-arm
-  // admission-latency quantiles are absolute microseconds and only inform.
-  // Telemetry gating is restricted to the session/ and batch/ counter
-  // families — those are lane-deterministic, whereas spf/ CSR-build counts
-  // scale with the worker-thread count and would differ across machines.
-  const std::string session_baseline_path = cli.get_string("session-baseline");
-  const std::string session_current_path = cli.get_string("session-current");
-  if (!session_baseline_path.empty() && !session_current_path.empty()) {
-    std::string session_baseline_text;
-    std::string session_current_text;
-    if (!read_file(session_baseline_path, &session_baseline_text)) {
-      return fail("cannot read " + session_baseline_path);
-    }
-    if (!read_file(session_current_path, &session_current_text)) {
-      return fail("cannot read " + session_current_path);
-    }
-    const ParseResult session_baseline =
-        muerp::support::json::parse(session_baseline_text);
-    if (!session_baseline.ok()) {
-      return fail(session_baseline_path + ": " + session_baseline.error);
-    }
-    const ParseResult session_current =
-        muerp::support::json::parse(session_current_text);
-    if (!session_current.ok()) {
-      return fail(session_current_path + ": " + session_current.error);
-    }
-    const Value& base_doc = session_baseline.value;
-    const Value& cur_doc = session_current.value;
-
-    muerp::support::Table session_table(
-        "sharded session plane (sessions/sec; p50 admit us informational)",
-        {"arm", "base sessions/s", "cur sessions/s", "base p50 us",
-         "cur p50 us"});
-    session_table.add_row(
-        "baseline",
-        {base_doc["baseline"]["sessions_per_sec"].number_value,
-         cur_doc["baseline"]["sessions_per_sec"].number_value,
-         base_doc["baseline"]["admit_us"]["p50"].number_value,
-         cur_doc["baseline"]["admit_us"]["p50"].number_value});
-    const Value& base_arms = base_doc["sharded"];
-    const Value& cur_arms = cur_doc["sharded"];
-    for (const Value& base_arm : base_arms.elements) {
-      const double shards = base_arm["shards"].number_value;
-      const Value* cur_arm = nullptr;
-      for (const Value& candidate : cur_arms.elements) {
-        if (candidate["shards"].number_value == shards) cur_arm = &candidate;
-      }
-      if (cur_arm == nullptr) {
-        ++gate.failures;
-        std::cerr << "FAIL session arm with " << shards
-                  << " shards missing from current\n";
-        continue;
-      }
-      session_table.add_row(
-          std::to_string(static_cast<int>(shards)) + " shards",
-          {base_arm["sessions_per_sec"].number_value,
-           (*cur_arm)["sessions_per_sec"].number_value,
-           base_arm["admit_us"]["p50"].number_value,
-           (*cur_arm)["admit_us"]["p50"].number_value});
-    }
-    std::cout << session_table;
-
-    gate.check_speedup("session throughput speedup",
-                       base_doc["speedup"].number_value,
-                       cur_doc["speedup"].number_value);
-    gate.check_flag("session identical_lane1",
-                    base_doc["identical_lane1"].bool_value,
-                    cur_doc["identical_lane1"].bool_value);
-    gate.check_flag("session identical_across_shards",
-                    base_doc["identical_across_shards"].bool_value,
-                    cur_doc["identical_across_shards"].bool_value);
-    for (const char* count : {"arrived", "admitted", "completed"}) {
-      gate.check_count(std::string("session counts.") + count,
-                       base_doc["counts"][count].number_value,
-                       cur_doc["counts"][count].number_value);
-    }
-
-    const Value& base_session_tel = base_doc["telemetry"];
-    const Value& cur_session_tel = cur_doc["telemetry"];
-    if (base_session_tel["enabled"].bool_value &&
-        cur_session_tel["enabled"].bool_value) {
-      for (const auto& [counter, base_value] :
-           base_session_tel["snapshot"]["counters"].members) {
-        if (counter.rfind("session/", 0) != 0 &&
-            counter.rfind("batch/", 0) != 0) {
-          continue;
-        }
-        gate.check_count(
-            "session counter " + counter, base_value.number_value,
-            cur_session_tel["snapshot"]["counters"][counter].number_value);
-      }
-    } else {
-      std::cout << "(session telemetry snapshot missing from one side; "
                    "counter gates skipped)\n";
     }
   }

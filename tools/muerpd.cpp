@@ -92,7 +92,9 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "muerp.hpp"
 
@@ -256,10 +258,6 @@ int main(int argc, char** argv) {
   cli.add_flag("min-group", "smallest session group size", "2");
   cli.add_flag("max-group", "largest session group size", "4");
   cli.add_flag("timeout", "session timeout in slots", "500");
-  cli.add_flag("batch-single",
-               "route single arrivals through the persistent batch kernel "
-               "(bit-identical admissions, warm slabs across slots)",
-               "false");
   cli.add_flag("lanes",
                "deterministic session lanes (traffic/capacity partitions; "
                "results depend on this, not on --shards)",
@@ -392,13 +390,6 @@ int main(int argc, char** argv) {
                 "' (given-order|smallest-first|largest-first|greedy|"
                 "fair-share)");
   }
-  if (config.arrival_burst > 1 &&
-      config.batch_policy == routing::BatchPolicy::kFairShare &&
-      !config.algorithm.empty() && config.algorithm != "alg4") {
-    return fail("--batch-policy fair-share needs --algorithm shared-prim or "
-                "alg4 (batch-native kernel)");
-  }
-  config.batch_single_arrivals = cli.get_bool("batch-single");
   const auto lanes = cli.get_int("lanes").value_or(1);
   const auto shards = cli.get_int("shards").value_or(1);
   const auto tick_batch = cli.get_int("tick-batch").value_or(64);
@@ -441,9 +432,17 @@ int main(int argc, char** argv) {
   sharded_config.ledger_window_slots = static_cast<std::uint64_t>(link_window);
   sharded_config.ledger_event_capacity =
       static_cast<std::size_t>(link_events);
-  sim::ShardedSessionService service(
-      *network, sharded_config,
-      static_cast<std::uint64_t>(cli.get_int("seed").value_or(1)));
+  // The service validates its own configuration (e.g. fair-share needs a
+  // batch-native kernel); a refused combination is a usage error here.
+  std::optional<sim::ShardedSessionService> service_storage;
+  try {
+    service_storage.emplace(
+        *network, sharded_config,
+        static_cast<std::uint64_t>(cli.get_int("seed").value_or(1)));
+  } catch (const std::invalid_argument& error) {
+    return fail(error.what());
+  }
+  sim::ShardedSessionService& service = *service_storage;
 
   // Durable session history: replay previous runs (truncating any torn
   // tail), then mark this run's start.
