@@ -4,8 +4,9 @@
 // and compares two implementations of the same contract:
 //
 //   * reference: the sequential ext::route_groups_reference /
-//     route_groups_interleaved_reference loops (one full per-group setup —
-//     cold finder, run-to-exhaustion Dijkstras — per request);
+//     route_groups_interleaved_reference test oracles (tests/oracles/; one
+//     full per-group setup — cold finder, run-to-exhaustion Dijkstras — per
+//     request);
 //   * batch: a persistent routing::BatchRouter instance (shared CSR,
 //     generation-stamped slab workspaces, coalesced capacity epochs,
 //     early-exit Dijkstras).
@@ -29,6 +30,7 @@
 
 #include "experiment/scenario.hpp"
 #include "extensions/multigroup.hpp"
+#include "oracles/multigroup_reference.hpp"
 #include "routing/batch_router.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"

@@ -11,8 +11,9 @@
 // memoization disabled and then enabled, the per-repetition rates are checked
 // bit-identical, and the wall-clock times + routing perf counters are written
 // to BENCH_routing.json (or the given path). The same mode also times the
-// seed's lazy-heap Dijkstra against the SPF kernel call for call on those
-// instances and verifies the two produce identical trees.
+// seed's lazy-heap Dijkstra (the graph::dijkstra_legacy test oracle in
+// tests/oracles/) against the SPF kernel call for call on those instances
+// and verifies the two produce identical trees.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -28,6 +29,7 @@
 #include "baselines/nfusion.hpp"
 #include "experiment/scenario.hpp"
 #include "graph/algorithms.hpp"
+#include "oracles/dijkstra_legacy.hpp"
 #include "routing/channel_finder.hpp"
 #include "routing/conflict_free.hpp"
 #include "routing/local_search.hpp"

@@ -12,9 +12,9 @@
 //
 // Both entry points delegate to routing::BatchRouter — the batch kernel
 // that shares one CSR view, slab workspaces and capacity bookkeeping across
-// the whole request set. The pre-kernel implementations are kept as
-// *_reference oracles: straight-line code the batch results are asserted
-// bit-identical against in tests.
+// the whole request set. The pre-kernel implementations live in
+// tests/oracles/multigroup_reference.hpp: straight-line code the batch
+// results are asserted bit-identical against in tests.
 #pragma once
 
 #include <cstdint>
@@ -76,24 +76,6 @@ MultiGroupResult route_groups(const net::QuantumNetwork& network,
 MultiGroupResult route_groups_interleaved(const net::QuantumNetwork& network,
                                           std::span<const GroupRequest> groups,
                                           support::Rng& rng);
-
-/// Pre-BatchRouter implementation of route_groups, kept as the oracle the
-/// batch kernel is verified bit-identical against (same Rng draw sequence,
-/// same admission order, same channels and rates). One group at a time,
-/// each paying its own CachedChannelFinder and full Dijkstras.
-MultiGroupResult route_groups_reference(const net::QuantumNetwork& network,
-                                        std::span<const GroupRequest> groups,
-                                        GroupOrder order, support::Rng& rng);
-
-/// Pre-BatchRouter implementation of route_groups_interleaved (the oracle
-/// for the kFairShare policy). Candidate channels compare on neg_log_rate —
-/// finite for every found channel — not on the underflow-prone `rate`: an
-/// extremely lossy but feasible channel must still beat "no channel"
-/// (the rate == 0.0 sentinel this code shipped with falsely failed whole
-/// groups on long chains).
-MultiGroupResult route_groups_interleaved_reference(
-    const net::QuantumNetwork& network, std::span<const GroupRequest> groups,
-    support::Rng& rng);
 
 /// Fairness metric: the smallest served group rate (1.0 when none served —
 /// vacuous; callers should check groups_served).

@@ -49,15 +49,6 @@ ShortestPaths dijkstra(
     const std::function<double(EdgeId)>& weight,
     const std::function<bool(NodeId)>& allow_through = nullptr);
 
-/// The seed's self-contained lazy-heap Dijkstra, kept verbatim as the
-/// reference implementation: the kernel regression tests and the
-/// `perf_algorithms --compare` kernel table run it against the SPF kernel
-/// to prove results stay bit-identical. Not for production use.
-ShortestPaths dijkstra_legacy(
-    const Graph& graph, NodeId source,
-    const std::function<double(EdgeId)>& weight,
-    const std::function<bool(NodeId)>& allow_through = nullptr);
-
 /// Reconstructs the vertex sequence source -> target from a Dijkstra result.
 /// Empty if the target is unreachable.
 std::vector<NodeId> reconstruct_path(const Graph& graph,

@@ -28,7 +28,7 @@ namespace muerp::routing {
 
 struct AnnealingParams {
   std::uint32_t iterations = 400;
-  /// Initial temperature in log-rate units (a move this much worse is
+  /// Initial temperature in ln(rate) units (a move this much worse is
   /// accepted with probability 1/e at the start).
   double initial_temperature = 0.5;
   /// Geometric cooling factor per iteration, in (0, 1].

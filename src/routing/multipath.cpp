@@ -35,7 +35,7 @@ MultipathPlan provision_multipath(const net::QuantumNetwork& network,
 
   CachedChannelFinder finder(network);
   // Greedy marginal-gain loop: each iteration adds the single redundant
-  // channel (over all edges) with the largest log-rate improvement.
+  // channel (over all edges) with the largest ln(rate) improvement.
   while (true) {
     double best_gain = 0.0;
     std::size_t best_edge = plan.bundles.size();

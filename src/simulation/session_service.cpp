@@ -10,11 +10,6 @@
 
 namespace muerp::sim {
 
-using support::telemetry::field;
-
-/// Per-session events go through the config.log_events_per_second bucket.
-constexpr auto kInfo = support::telemetry::LogLevel::kInfo;
-
 namespace {
 
 /// Admission-time fields common to every record of an arrival. The
@@ -84,8 +79,6 @@ SessionService::SessionService(const net::QuantumNetwork& network,
     : network_(&network),
       config_(std::move(config)),
       rng_(&rng),
-      log_bucket_(config_.log_events_per_second,
-                  config_.log_events_per_second),
       capacity_(network) {
   assert(config_.params.min_group_size >= 2);
   assert(config_.params.max_group_size >= config_.params.min_group_size);
@@ -95,6 +88,9 @@ SessionService::SessionService(const net::QuantumNetwork& network,
     router_ = &routing::RouterRegistry::instance().at(config_.algorithm);
   }
   std::string error;
+  if (!set_arrival_prob(config_.params.arrival_prob_per_slot, &error)) {
+    throw std::invalid_argument("SessionServiceConfig: " + error);
+  }
   if (!validate_batch_combination(config_.algorithm, config_.batch_policy,
                                   config_.arrival_burst, &error)) {
     // Fail at construction, not mid-simulation: the generic batch pass
@@ -223,19 +219,6 @@ bool SessionService::set_algorithm(const std::string& algorithm,
   return true;
 }
 
-bool SessionService::set_log_events_per_second(double per_second,
-                                               std::string* error) {
-  if (!(per_second >= 0.0)) {  // also rejects NaN
-    if (error != nullptr) {
-      *error = "log events per second must be >= 0 (0 = unlimited)";
-    }
-    return false;
-  }
-  config_.log_events_per_second = per_second;
-  log_bucket_.reconfigure(per_second, per_second);
-  return true;
-}
-
 double SessionService::qubit_utilization() const noexcept {
   if (total_switch_qubits_ <= 0) return 0.0;
   int held = 0;
@@ -312,7 +295,6 @@ void SessionService::admit_batch(SlotReport& report) {
   for (routing::BatchGroupOutcome& outcome : result.outcomes) {
     const std::vector<net::NodeId>& group =
         batch_groups_[outcome.request_index];
-    const std::size_t size = group.size();
     net::EntanglementTree& tree = outcome.tree;
     if (tree.feasible) {
       if (!report.admitted) {
@@ -324,11 +306,6 @@ void SessionService::admit_batch(SlotReport& report) {
       ++totals_.sessions_admitted;
       MUERP_COUNTER_INC("session/admitted");
       MUERP_HISTOGRAM_OBSERVE("session/admitted_rate_ppm", tree.rate * 1e6);
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/admitted",
-                             field("slot", slot_), field("group_size", size),
-                             field("rate", tree.rate),
-                             field("channels", tree.channels.size()),
-                             field("active", active_.size() + 1));
       std::uint64_t record_id = 0;
       if (recording) {
         auto draft = make_record_draft(slot_, group, config_.algorithm,
@@ -342,23 +319,15 @@ void SessionService::admit_batch(SlotReport& report) {
       if (config_.ledger != nullptr) {
         config_.ledger->record_admit(touch, slot_);
       }
-      active_.push_back(
-          {std::move(tree), slot_, size, record_id, std::move(touch)});
+      active_.push_back({std::move(tree), slot_, record_id, std::move(touch)});
     } else {
       ++totals_.sessions_rejected;
       const double utilization = qubit_utilization();
       MUERP_COUNTER_INC("session/rejected");
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/rejected",
-                             field("slot", slot_), field("group_size", size),
-                             field("active", active_.size()),
-                             field("qubit_utilization", utilization));
       // Rejection with most of the qubit pool pledged is saturation (the
       // switch fabric, not the topology, refused the session).
       if (utilization >= 0.9) {
         MUERP_COUNTER_INC("session/switch_saturation");
-        MUERP_LOG_INFO("session/switch_saturation", field("slot", slot_),
-                       field("qubit_utilization", utilization),
-                       field("active", active_.size()));
       }
       using support::telemetry::RejectReason;
       RejectReason reason = RejectReason::kNoFeasibleTree;
@@ -427,19 +396,10 @@ SlotReport SessionService::step() {
         completion_slots_.add(static_cast<double>(held_slots));
         MUERP_COUNTER_INC("session/completed");
         MUERP_HISTOGRAM_OBSERVE("session/completion_slots", held_slots);
-        MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/completed",
-                               field("slot", slot_),
-                               field("group_size", session.group_size),
-                               field("held_slots", held_slots));
       } else {
         ++report.timed_out;
         ++totals_.sessions_timed_out;
         MUERP_COUNTER_INC("session/timed_out");
-        MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/timeout",
-                               field("slot", slot_),
-                               field("group_size", session.group_size),
-                               field("held_slots", held_slots),
-                               field("rate", session.tree.rate));
       }
       if (config_.recorder != nullptr && session.record_id != 0) {
         config_.recorder->close(

@@ -21,10 +21,10 @@
 // the qubits actually free — so even a capacity-oblivious baseline cannot
 // oversubscribe a switch.
 //
-// Every step emits structured telemetry: session/* counters, gauges for
-// active sessions and qubit utilization, a completion-slots histogram, and
-// MUERP_LOG events (session/admitted, session/rejected, session/completed,
-// session/timeout) carrying slot, group size and tree rate fields.
+// Every step emits session/* counters, gauges for active sessions and qubit
+// utilization and a completion-slots histogram. The per-session trail (slot,
+// group, rate, channels, held slots, reject reason) is the optional flight
+// recorder's SessionRecord; the service writes no per-session log events.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@
 #include "support/statistics.hpp"
 #include "support/telemetry/flight_recorder.hpp"
 #include "support/telemetry/link_ledger.hpp"
-#include "support/telemetry/log.hpp"
 
 namespace muerp::sim {
 
@@ -51,13 +50,6 @@ struct SessionServiceConfig {
   std::string algorithm;
   /// Forwarded to the registry router when `algorithm` is non-empty.
   routing::RouterOptions router_options;
-  /// Token-bucket budget for per-session MUERP_LOG events (admitted /
-  /// rejected / completed / timeout). 0 (the default) means unlimited —
-  /// the historical behavior; a daemon serving thousands of slots per
-  /// second opts into a budget so the log ring keeps hours of context
-  /// instead of milliseconds. Suppressed counts are readable via
-  /// SessionService::log_events_suppressed().
-  double log_events_per_second = 0.0;
   /// Arrival attempts per slot. Each slot draws up to `arrival_burst`
   /// independent Bernoulli arrivals, generates every group, then admits
   /// them as ONE batch through the routing kernel. At 1 (the default) this
@@ -130,7 +122,9 @@ struct SlotReport {
 class SessionService {
  public:
   /// `network` and `rng` must outlive the service; the rng is advanced by
-  /// every step() in a deterministic order.
+  /// every step() in a deterministic order. Throws std::invalid_argument
+  /// for a config the setters below would refuse: an arrival probability
+  /// outside [0, 1], or fair-share bursts on a non-batch-native algorithm.
   SessionService(const net::QuantumNetwork& network,
                  SessionServiceConfig config, support::Rng& rng);
 
@@ -150,12 +144,6 @@ class SessionService {
     arrivals_enabled_ = enabled;
   }
   bool arrivals_enabled() const noexcept { return arrivals_enabled_; }
-
-  /// Per-session log events dropped by the config.log_events_per_second
-  /// budget (always 0 when the budget is 0 / telemetry is compiled out).
-  std::uint64_t log_events_suppressed() const noexcept {
-    return log_bucket_.suppressed();
-  }
 
   // -------------------------------------------------------------------------
   // Runtime mutators for the live control plane (`muerpctl ctl set ...`).
@@ -193,13 +181,6 @@ class SessionService {
                      std::string* error = nullptr);
   const std::string& algorithm() const noexcept { return config_.algorithm; }
 
-  /// Reconfigures the per-session log-event budget (0 = unlimited).
-  bool set_log_events_per_second(double per_second,
-                                 std::string* error = nullptr);
-  double log_events_per_second() const noexcept {
-    return config_.log_events_per_second;
-  }
-
   /// Fraction of all switch qubits currently pledged to sessions.
   double qubit_utilization() const noexcept;
 
@@ -211,7 +192,6 @@ class SessionService {
   struct ActiveSession {
     net::EntanglementTree tree;
     std::uint64_t admitted_slot = 0;
-    std::size_t group_size = 0;
     /// Flight-recorder id (0 when no recorder is attached).
     std::uint64_t record_id = 0;
     /// Ledger indices this tree occupies (empty when no ledger is
@@ -221,7 +201,7 @@ class SessionService {
 
   /// Admits the arrivals staged in batch_groups_ as one batch through the
   /// routing kernel against capacity_, then applies the per-session
-  /// counters, logs, flight records and ledger entries in admission order.
+  /// counters, flight records and ledger entries in admission order.
   void admit_batch(SlotReport& report);
 
   /// (Re)creates the residual view / batch kernel the current algorithm
@@ -245,7 +225,6 @@ class SessionService {
   support::Rng* rng_;
   const routing::Router* router_ = nullptr;  // null => shared-Prim admission
   bool arrivals_enabled_ = true;
-  support::telemetry::LogTokenBucket log_bucket_;
 
   /// Cached residual-network copy for registry admission: each batch
   /// patches only the switch budgets that changed since the last one.

@@ -283,23 +283,6 @@ const std::string& ShardedSessionService::algorithm() const noexcept {
   return lanes_.front()->service->algorithm();
 }
 
-bool ShardedSessionService::set_log_events_per_second(double per_second,
-                                                      std::string* error) {
-  if (!lanes_.front()->service->set_log_events_per_second(per_second,
-                                                          error)) {
-    return false;
-  }
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_log_events_per_second(per_second);
-  }
-  config_.base.log_events_per_second = per_second;
-  return true;
-}
-
-double ShardedSessionService::log_events_per_second() const noexcept {
-  return lanes_.front()->service->log_events_per_second();
-}
-
 double ShardedSessionService::qubit_utilization() const noexcept {
   if (total_switch_qubits_ <= 0) return 0.0;
   double weighted = 0.0;
@@ -308,12 +291,6 @@ double ShardedSessionService::qubit_utilization() const noexcept {
                 static_cast<double>(lane->switch_qubits);
   }
   return weighted / static_cast<double>(total_switch_qubits_);
-}
-
-std::uint64_t ShardedSessionService::log_events_suppressed() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& lane : lanes_) total += lane->service->log_events_suppressed();
-  return total;
 }
 
 ProtocolMetrics ShardedSessionService::metrics() const {

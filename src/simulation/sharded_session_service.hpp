@@ -158,15 +158,9 @@ class ShardedSessionService {
   bool set_algorithm(const std::string& algorithm,
                      std::string* error = nullptr);
   const std::string& algorithm() const noexcept;
-  bool set_log_events_per_second(double per_second,
-                                 std::string* error = nullptr);
-  double log_events_per_second() const noexcept;
 
   /// Qubit-weighted utilization across lanes.
   double qubit_utilization() const noexcept;
-
-  /// Per-session log events dropped by the log budget, summed over lanes.
-  std::uint64_t log_events_suppressed() const noexcept;
 
   /// Lane-order deterministic merge of every lane's ProtocolMetrics:
   /// counters sum; mean_completion_slots weights lane means by completed

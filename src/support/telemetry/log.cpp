@@ -281,41 +281,6 @@ std::uint64_t log_events_emitted() noexcept {
   return s.emitted;
 }
 
-LogTokenBucket::LogTokenBucket(double per_second, double burst) noexcept
-    : per_second_(per_second),
-      burst_(burst < 1.0 ? 1.0 : burst),
-      tokens_(burst_) {}
-
-bool LogTokenBucket::try_acquire() noexcept {
-  const std::uint64_t now = monotonic_now_ns();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (per_second_ <= 0.0) return true;
-  if (last_ns_ != 0 && now > last_ns_) {
-    tokens_ = std::min(
-        burst_, tokens_ + static_cast<double>(now - last_ns_) / 1e9 *
-                              per_second_);
-  }
-  last_ns_ = now;
-  if (tokens_ >= 1.0) {
-    tokens_ -= 1.0;
-    return true;
-  }
-  ++suppressed_;
-  return false;
-}
-
-std::uint64_t LogTokenBucket::suppressed() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return suppressed_;
-}
-
-void LogTokenBucket::reconfigure(double per_second, double burst) noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  per_second_ = per_second;
-  burst_ = burst < 1.0 ? 1.0 : burst;
-  if (tokens_ > burst_) tokens_ = burst_;
-}
-
 }  // namespace muerp::support::telemetry
 
 #endif  // MUERP_TELEMETRY_ENABLED

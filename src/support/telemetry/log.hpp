@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -178,38 +177,6 @@ std::uint64_t log_events_emitted() noexcept;
 /// newline) — exposed for the exporters and tests.
 std::string render_log_event(const LogEvent& event, LogFormat format);
 
-/// Wall-clock token bucket for rate-limiting noisy log call sites (per-slot
-/// events in a long daemon run would otherwise flood the ring and the
-/// sink). Refills `per_second` tokens up to `burst`; try_acquire() takes
-/// one token or counts the event as suppressed. Thread-safe; pair it with
-/// MUERP_LOG_RATE_LIMITED so suppressed events keep their fields
-/// unevaluated.
-class LogTokenBucket {
- public:
-  /// `per_second` <= 0 disables limiting: every try_acquire() succeeds.
-  LogTokenBucket(double per_second, double burst) noexcept;
-  LogTokenBucket(const LogTokenBucket&) = delete;
-  LogTokenBucket& operator=(const LogTokenBucket&) = delete;
-
-  bool try_acquire() noexcept;
-
-  /// Events refused since construction.
-  std::uint64_t suppressed() const noexcept;
-
-  /// Swaps in a new rate/burst, clamping stored tokens to the new burst.
-  /// The suppressed() count carries over — it is a lifetime total. Lets the
-  /// control plane retune a live daemon's log budget (`ctl set log-rate`).
-  void reconfigure(double per_second, double burst) noexcept;
-
- private:
-  double per_second_;  // guarded by mutex_ (reconfigure vs try_acquire)
-  double burst_;       // guarded by mutex_
-  mutable std::mutex mutex_;
-  double tokens_;                 // guarded by mutex_
-  std::uint64_t last_ns_ = 0;     // guarded by mutex_
-  std::uint64_t suppressed_ = 0;  // guarded by mutex_
-};
-
 #else  // MUERP_TELEMETRY_ENABLED
 
 inline LogLevel log_level() noexcept { return LogLevel::kOff; }
@@ -225,16 +192,6 @@ inline std::vector<LogEvent> recent_log_events(std::size_t = 256) {
 }
 inline std::uint64_t log_events_emitted() noexcept { return 0; }
 inline std::string render_log_event(const LogEvent&, LogFormat) { return {}; }
-
-class LogTokenBucket {
- public:
-  LogTokenBucket(double, double) noexcept {}
-  LogTokenBucket(const LogTokenBucket&) = delete;
-  LogTokenBucket& operator=(const LogTokenBucket&) = delete;
-  bool try_acquire() noexcept { return false; }
-  std::uint64_t suppressed() const noexcept { return 0; }
-  void reconfigure(double, double) noexcept {}
-};
 
 #endif  // MUERP_TELEMETRY_ENABLED
 
@@ -266,24 +223,12 @@ class LogTokenBucket {
     }                                                                         \
   } while (0)
 
-/// MUERP_LOG gated by a LogTokenBucket: suppressed events never evaluate
-/// their field expressions and are counted by bucket.suppressed().
-#define MUERP_LOG_RATE_LIMITED(bucket, level, name, ...)                      \
-  do {                                                                        \
-    if (::muerp::support::telemetry::log_enabled(level) &&                    \
-        (bucket).try_acquire()) {                                             \
-      ::muerp::support::telemetry::log_event(level, name, {__VA_ARGS__});     \
-    }                                                                         \
-  } while (0)
-
 #else  // MUERP_TELEMETRY_ENABLED
 
 // Arguments are swallowed unevaluated (sizeof of a lambda type keeps any
 // referenced variables "used" without generating code).
 #define MUERP_LOG(level, name, ...) static_cast<void>(0)
 #define MUERP_LOG_EVERY_N(n, level, name, ...) static_cast<void>(sizeof(n))
-#define MUERP_LOG_RATE_LIMITED(bucket, level, name, ...)                      \
-  static_cast<void>(sizeof(&(bucket)))
 
 #endif  // MUERP_TELEMETRY_ENABLED
 

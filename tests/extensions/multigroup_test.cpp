@@ -4,6 +4,7 @@
 
 #include "network/channel.hpp"
 #include "network/network_builder.hpp"
+#include "oracles/multigroup_reference.hpp"
 #include "support/rng.hpp"
 #include "topology/waxman.hpp"
 

@@ -16,6 +16,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "network/quantum_network.hpp"
+#include "oracles/dijkstra_legacy.hpp"
 
 namespace muerp {
 namespace {

@@ -12,6 +12,7 @@
 #include "network/channel.hpp"
 #include "network/network_builder.hpp"
 #include "network/rate.hpp"
+#include "oracles/multigroup_reference.hpp"
 #include "routing/router.hpp"
 #include "support/rng.hpp"
 #include "topology/waxman.hpp"

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <iostream>
 #include <limits>
 
 #include "experiment/scenario.hpp"
@@ -231,34 +230,6 @@ TEST(SessionService, DisablingArrivalsDrainsTheServiceForShutdown) {
   service.set_arrivals_enabled(true);
   const ProtocolMetrics after = run_stepped(service, 500);
   EXPECT_GT(after.sessions_arrived, arrived_at_stop);
-}
-
-TEST(SessionService, LogRateLimitCountsSuppressedSessionEvents) {
-  const auto net = service_network();
-  ProtocolParams params = light_params();
-  params.arrival_prob_per_slot = 0.5;
-  support::Rng rng(8);
-  SessionServiceConfig config{params, "", {}};
-  EXPECT_EQ(config.log_events_per_second, 0.0);  // unlimited by default
-  config.log_events_per_second = 0.001;  // ~one token, then suppression
-  SessionService service(net, config, rng);
-  EXPECT_EQ(service.log_events_suppressed(), 0u);
-
-  // Suppression only counts events that clear the level threshold, so opt
-  // into kInfo (ring-only, no stream spam) for the duration of the run.
-  support::telemetry::set_log_sink(nullptr);
-  support::telemetry::set_log_level(support::telemetry::LogLevel::kInfo);
-  const ProtocolMetrics m = run_stepped(service, 2000);
-  support::telemetry::set_log_level(support::telemetry::LogLevel::kWarn);
-  support::telemetry::set_log_sink(&std::cerr);
-
-  EXPECT_GT(m.sessions_arrived, 100u);
-#if MUERP_TELEMETRY_ENABLED
-  // Per-session info events vastly outnumber the bucket's budget.
-  EXPECT_GT(service.log_events_suppressed(), 0u);
-#else
-  EXPECT_EQ(service.log_events_suppressed(), 0u);
-#endif
 }
 
 void expect_metrics_identical(const ProtocolMetrics& a,
@@ -501,9 +472,6 @@ TEST(SessionService, IdentitySettersPreserveTheSlotTrajectory) {
   ASSERT_TRUE(poked.set_arrival_burst(poked.arrival_burst(), &error)) << error;
   ASSERT_TRUE(poked.set_batch_policy(poked.batch_policy(), &error)) << error;
   ASSERT_TRUE(poked.set_algorithm(poked.algorithm(), &error)) << error;
-  ASSERT_TRUE(poked.set_log_events_per_second(poked.log_events_per_second(),
-                                              &error))
-      << error;
   const ProtocolMetrics actual = run_stepped(poked, 1000);
 
   EXPECT_EQ(actual.sessions_arrived, expected.sessions_arrived);
@@ -537,8 +505,26 @@ TEST(SessionService, SettersRejectInvalidValuesAndKeepTheOldOnes) {
   EXPECT_FALSE(service.set_algorithm("no-such-router", &error));
   EXPECT_NE(error.find("no-such-router"), std::string::npos);
   EXPECT_EQ(service.algorithm(), "");
+}
 
-  EXPECT_FALSE(service.set_log_events_per_second(-1.0, &error));
+TEST(SessionService, ConstructorRejectsArrivalProbOutsideUnitInterval) {
+  // The constructor applies set_arrival_prob's rule, so a boot config can
+  // never hold a value the live setter would refuse.
+  const auto net = service_network();
+  for (const double prob : {1.5, -0.5, 5.0,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    SessionServiceConfig config{light_params(), "", {}};
+    config.params.arrival_prob_per_slot = prob;
+    support::Rng rng(1);
+    EXPECT_THROW(SessionService(net, config, rng), std::invalid_argument)
+        << prob;
+  }
+  for (const double prob : {0.0, 1.0}) {
+    SessionServiceConfig config{light_params(), "", {}};
+    config.params.arrival_prob_per_slot = prob;
+    support::Rng rng(1);
+    EXPECT_NO_THROW(SessionService(net, config, rng)) << prob;
+  }
 }
 
 TEST(SessionService, SettersChangeBehaviorGoingForward) {

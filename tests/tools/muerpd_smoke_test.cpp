@@ -601,6 +601,15 @@ TEST(MuerpdSmoke, FlightRecorderAndAlertsServeTheTail) {
             std::string::npos);
   EXPECT_NE(http_get(port, "/api/v1/sessions?state=bogus").find("400"),
             std::string::npos);
+  // Malformed numbers are refused like the ctl verb refuses them, not
+  // ignored in favour of the defaults.
+  for (const char* query : {"limit=-3", "lane=abc", "min-slot=1.5",
+                            "max-slot=-1", "lane=4294967296"}) {
+    EXPECT_NE(http_get(port, std::string("/api/v1/sessions?") + query)
+                  .find("HTTP/1.1 400"),
+              std::string::npos)
+        << query;
+  }
 
   // The default rejection-ratio rule is live against the rejected traffic
   // (this mixed workload rejects ~13% of arrivals — real but sub-threshold).
@@ -717,6 +726,8 @@ TEST(MuerpdSmoke, NetworkPlaneServesTopologyLinksAndExplain) {
 
   // Bad query parameters answer 400, not garbage documents.
   EXPECT_NE(http_get(port, "/api/v1/links?sort=hotness").find("400"),
+            std::string::npos);
+  EXPECT_NE(http_get(port, "/api/v1/links?limit=xyz").find("HTTP/1.1 400"),
             std::string::npos);
   EXPECT_NE(http_get(port, "/api/v1/explain/abc").find("400"),
             std::string::npos);
@@ -953,11 +964,15 @@ TEST(MuerpdSmoke, HistoryLifetimeCarriesRejectionOnlyTraffic) {
 }
 
 TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
-  // An unknown router, and a fair-share burst on a router without the
-  // batch-native kernel (refused by the service's own validation).
+  // An unknown router, a fair-share burst on a router without the
+  // batch-native kernel and arrival probabilities outside [0, 1] (all
+  // refused by the service's own validation), and a sampler interval
+  // `ctl set sample-interval-ms` would refuse.
   for (const char* args :
        {"--algorithm no-such-router",
-        "--arrival-burst 2 --batch-policy fair-share --algorithm alg3"}) {
+        "--arrival-burst 2 --batch-policy fair-share --algorithm alg3",
+        "--arrival 5", "--arrival nan", "--arrival -0.5",
+        "--sample-interval-ms 3600001"}) {
     const std::string command = std::string(MUERPD_BINARY) +
                                 " --port 0 --slots 1 " + args + " 2>/dev/null";
     FILE* pipe = ::popen(command.c_str(), "r");

@@ -35,8 +35,8 @@
 //                        uniform {"ok",...} envelope out) — what
 //                        `muerpctl ctl <verb>` speaks. Verbs: set/get for
 //                        arrival-rate, algorithm, arrival-burst,
-//                        batch-policy, log-level, log-rate,
-//                        sample-interval-ms; lifecycle pause / resume /
+//                        batch-policy, log-level, sample-interval-ms;
+//                        lifecycle pause / resume /
 //                        drain / snapshot / status; sessions / session
 //                        query the flight recorder; slo lists/edits alert
 //                        rules; `commands` lists the table with schemas.
@@ -89,8 +89,10 @@
 #include <atomic>
 #include <csignal>
 #include <chrono>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -138,7 +140,8 @@ const char* run_state_name(RunState state) {
 }
 
 /// Strict decimal parse; false on empty or non-digit input (what the
-/// /api/v1/session/<id> path parameter and query numbers go through).
+/// /api/v1/session/<id> and /api/v1/explain/<id> path parameters go
+/// through).
 bool parse_u64(const std::string& text, std::uint64_t* out) {
   if (text.empty()) return false;
   std::uint64_t value = 0;
@@ -148,6 +151,54 @@ bool parse_u64(const std::string& text, std::uint64_t* out) {
   }
   *out = value;
   return true;
+}
+
+/// Reads the count-valued argument `name` (lane, min-slot, max-slot, limit)
+/// of a ctl verb into *out when present. The verb schema already made it an
+/// integer; a value below 0 or beyond T is refused with out_of_range. The
+/// GET routes reach this through the same verbs (see query_args).
+template <typename T>
+ctl::CommandResult read_count(const support::json::Value& args,
+                              const char* name, std::optional<T>* out) {
+  const support::json::Value* v = args.find(name);
+  if (v == nullptr) return ctl::CommandResult::success();
+  // 2^digits is the first value T cannot hold.
+  const double end = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v->number_value >= 0.0 && v->number_value < end)) {
+    return ctl::CommandResult::failure(
+        ctl::kErrOutOfRange,
+        std::string(name) + " must be in [0, " +
+            std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  *out = static_cast<T>(v->number_value);
+  return ctl::CommandResult::success();
+}
+
+/// The arguments of verb `spec` read from a GET query string, so a GET route
+/// runs the verb through CommandRegistry::run like POST /api/v1/ctl does.
+/// A numeric argument whose text parses as a JSON number becomes that
+/// number; anything else stays a string, which the schema check refuses
+/// for a numeric argument. Query keys outside the schema are ignored.
+support::json::Value query_args(const ctl::CommandSpec& spec,
+                                std::string_view query) {
+  using support::json::Value;
+  Value args;
+  args.kind = Value::Kind::kObject;
+  for (const ctl::ArgSpec& arg : spec.args) {
+    std::string text = support::telemetry::http_query_param(query, arg.name);
+    if (text.empty()) continue;
+    Value value;
+    if (arg.type == ctl::ArgType::kInt || arg.type == ctl::ArgType::kNumber) {
+      auto parsed = support::json::parse(text);
+      if (parsed.ok() && parsed.value.is_number()) value = parsed.value;
+    }
+    if (!value.is_number()) {
+      value.kind = Value::Kind::kString;
+      value.string_value = std::move(text);
+    }
+    args.members.emplace_back(arg.name, std::move(value));
+  }
+  return args;
 }
 
 std::string json_double(double value) {
@@ -219,6 +270,13 @@ std::string topology_json(
   return out;
 }
 
+/// The sampler period range accepted by both --sample-interval-ms and
+/// `ctl set sample-interval-ms` (NaN fails both comparisons).
+bool valid_sample_interval_ms(double ms) {
+  return ms >= 1.0 && ms <= 3600'000.0;
+}
+constexpr char kSampleIntervalRange[] = "must be in [1, 3600000]";
+
 /// One row of the daemon's settings table: what `ctl set`/`ctl get`
 /// dispatch on. Accessors run on the loop thread (inside a mailbox
 /// action), so they may touch the session service freely.
@@ -273,8 +331,6 @@ int main(int argc, char** argv) {
   cli.add_flag("bind", "HTTP bind address", "127.0.0.1");
   cli.add_flag("log-level", "debug|info|warn|error|off", "info");
   cli.add_flag("log-format", "text|json", "text");
-  cli.add_flag("log-rate",
-               "per-session log events per second (0 = unlimited)", "0");
   cli.add_flag("sample-interval-ms",
                "time-series sampling period for /api/v1/range", "1000");
   cli.add_flag("retention",
@@ -380,7 +436,6 @@ int main(int argc, char** argv) {
     return fail("group sizes must satisfy 2 <= min <= max <= user count (" +
                 std::to_string(network->users().size()) + ")");
   }
-  config.log_events_per_second = cli.get_double("log-rate").value_or(0.0);
   const auto arrival_burst = cli.get_int("arrival-burst").value_or(1);
   if (arrival_burst < 1) return fail("--arrival-burst must be >= 1");
   config.arrival_burst = static_cast<std::size_t>(arrival_burst);
@@ -402,7 +457,9 @@ int main(int argc, char** argv) {
   const auto sample_interval_ms =
       cli.get_int("sample-interval-ms").value_or(1000);
   const auto retention = cli.get_int("retention").value_or(600);
-  if (sample_interval_ms <= 0) return fail("--sample-interval-ms must be > 0");
+  if (!valid_sample_interval_ms(static_cast<double>(sample_interval_ms))) {
+    return fail(std::string("--sample-interval-ms ") + kSampleIntervalRange);
+  }
   if (retention < 2) return fail("--retention must be >= 2");
   const std::string snapshot_out = cli.get_string("snapshot-out");
   const std::string ctl_token = cli.get_string("ctl-token");
@@ -754,23 +811,6 @@ int main(int argc, char** argv) {
              ctl::json_quote(value.string_value));
        }});
   settings.push_back(
-      {"log-rate", "per-session log events per second (0 = unlimited)",
-       [&service] {
-         return ctl::json_number(service.log_events_per_second());
-       },
-       [&service](const support::json::Value& value) {
-         if (!value.is_number()) {
-           return ctl::CommandResult::failure(ctl::kErrBadArg,
-                                              "log-rate must be a number");
-         }
-         std::string error;
-         if (!service.set_log_events_per_second(value.number_value, &error)) {
-           return ctl::CommandResult::failure(ctl::kErrOutOfRange, error);
-         }
-         return ctl::CommandResult::success(
-             ctl::json_number(service.log_events_per_second()));
-       }});
-  settings.push_back(
       {"sample-interval-ms", "time-series sampling period in milliseconds",
        [&sampler] {
          return std::to_string(sampler.interval().count());
@@ -782,10 +822,10 @@ int main(int argc, char** argv) {
            return ctl::CommandResult::failure(
                ctl::kErrBadArg, "sample-interval-ms must be an integer");
          }
-         if (value.number_value < 1.0 || value.number_value > 3600'000.0) {
+         if (!valid_sample_interval_ms(value.number_value)) {
            return ctl::CommandResult::failure(
                ctl::kErrOutOfRange,
-               "sample-interval-ms must be in [1, 3600000]");
+               std::string("sample-interval-ms ") + kSampleIntervalRange);
          }
          sampler.set_interval(std::chrono::milliseconds(
              static_cast<std::int64_t>(value.number_value)));
@@ -966,7 +1006,6 @@ int main(int argc, char** argv) {
       [](const support::json::Value& args,
          support::telemetry::SessionFilter* filter) -> ctl::CommandResult {
     namespace tel = support::telemetry;
-    filter->limit = 100;
     if (const auto* v = args.find("state")) {
       tel::SessionState state;
       if (!tel::parse_session_state(v->string_value, &state)) {
@@ -978,26 +1017,14 @@ int main(int argc, char** argv) {
       filter->state = state;
     }
     if (const auto* v = args.find("alg")) filter->algorithm = v->string_value;
-    const auto non_negative =
-        [&args](const char* name) -> std::optional<std::uint64_t> {
-      const auto* v = args.find(name);
-      if (v == nullptr || v->number_value < 0) return std::nullopt;
-      return static_cast<std::uint64_t>(v->number_value);
-    };
-    for (const char* name : {"lane", "min-slot", "max-slot", "limit"}) {
-      if (args.find(name) != nullptr && !non_negative(name)) {
-        return ctl::CommandResult::failure(
-            ctl::kErrOutOfRange, std::string(name) + " must be >= 0");
-      }
+    std::optional<std::size_t> limit;
+    for (auto read : {read_count(args, "lane", &filter->lane),
+                      read_count(args, "min-slot", &filter->min_slot),
+                      read_count(args, "max-slot", &filter->max_slot),
+                      read_count(args, "limit", &limit)}) {
+      if (!read.ok) return read;
     }
-    if (const auto v = non_negative("lane")) {
-      filter->lane = static_cast<std::uint32_t>(*v);
-    }
-    if (const auto v = non_negative("min-slot")) filter->min_slot = *v;
-    if (const auto v = non_negative("max-slot")) filter->max_slot = *v;
-    if (const auto v = non_negative("limit")) {
-      filter->limit = static_cast<std::size_t>(*v);
-    }
+    filter->limit = limit.value_or(100);
     return ctl::CommandResult::success();
   };
   registry.add(
@@ -1081,16 +1108,12 @@ int main(int argc, char** argv) {
                                           "' (util|losses)");
            }
          }
-         std::size_t limit = 0;
-         if (const auto* v = args.find("limit")) {
-           if (v->number_value < 0) {
-             return ctl::CommandResult::failure(ctl::kErrOutOfRange,
-                                                "limit must be >= 0");
-           }
-           limit = static_cast<std::size_t>(v->number_value);
+         std::optional<std::size_t> limit;
+         if (auto read = read_count(args, "limit", &limit); !read.ok) {
+           return read;
          }
          auto stats = service.link_stats();
-         tel::sort_links(stats, sort, limit);
+         tel::sort_links(stats, sort, limit.value_or(0));
          return ctl::CommandResult::success(tel::links_json(
              stats, health.slot.load(std::memory_order_relaxed)));
        }});
@@ -1238,51 +1261,24 @@ int main(int argc, char** argv) {
       });
   // Flight-recorder + alert pages share the ctl verbs' renderers, so curl
   // and muerpctl see identical documents (and an OFF build serves
-  // empty-but-valid ones).
-  exporter.add_route(
-      "GET", "/api/v1/sessions",
-      [&service](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        tel::SessionFilter filter;
-        filter.limit = 100;
-        if (const std::string s = tel::http_query_param(request.query, "state");
-            !s.empty()) {
-          tel::SessionState state;
-          if (!tel::parse_session_state(s, &state)) {
-            return tel::HttpExporter::response(
-                400, "application/json",
-                "{\"error\": \"unknown state '" + s + "'\"}\n");
-          }
-          filter.state = state;
-        }
-        if (const std::string a = tel::http_query_param(request.query, "alg");
-            !a.empty()) {
-          filter.algorithm = a;
-        }
-        std::uint64_t number = 0;
-        if (const std::string l = tel::http_query_param(request.query, "lane");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.lane = static_cast<std::uint32_t>(number);
-        }
-        if (const std::string l =
-                tel::http_query_param(request.query, "min-slot");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.min_slot = number;
-        }
-        if (const std::string l =
-                tel::http_query_param(request.query, "max-slot");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.max_slot = number;
-        }
-        if (const std::string l = tel::http_query_param(request.query, "limit");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.limit = static_cast<std::size_t>(number);
-        }
-        return tel::HttpExporter::response(
-            200, "application/json",
-            tel::session_records_json(service.session_records(filter),
-                                      service.session_record_stats()));
-      });
+  // empty-but-valid ones). The list pages (/api/v1/sessions, and
+  // /api/v1/links below) run their verb on the query string, so both
+  // transports also share one argument parser and validator; a refused
+  // argument answers 400 with the verb's message.
+  const auto serve_verb = [&registry](const std::string& cmd) {
+    return [&registry, cmd](const support::telemetry::HttpRequest& request) {
+      const ctl::CommandResult result =
+          registry.run(cmd, query_args(*registry.find(cmd), request.query));
+      if (!result.ok) {
+        return support::telemetry::HttpExporter::response(
+            400, "application/json",
+            "{\"error\": " + ctl::json_quote(result.message) + "}\n");
+      }
+      return support::telemetry::HttpExporter::response(
+          200, "application/json", result.result_json);
+    };
+  };
+  exporter.add_route("GET", "/api/v1/sessions", serve_verb("sessions"));
   exporter.add_prefix_route(
       "GET", "/api/v1/session/",
       [&service](const support::telemetry::HttpRequest& request) {
@@ -1327,30 +1323,7 @@ int main(int argc, char** argv) {
             topology_json(*network, service.link_stats(),
                           health.slot.load(std::memory_order_relaxed)));
       });
-  exporter.add_route(
-      "GET", "/api/v1/links",
-      [&service, &health](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        tel::LinkSort sort = tel::LinkSort::kUtil;
-        if (const std::string s = tel::http_query_param(request.query, "sort");
-            !s.empty() && !tel::parse_link_sort(s, &sort)) {
-          return tel::HttpExporter::response(
-              400, "application/json",
-              "{\"error\": \"unknown sort '" + s + "' (util|losses)\"}\n");
-        }
-        std::size_t limit = 0;
-        std::uint64_t number = 0;
-        if (const std::string l = tel::http_query_param(request.query, "limit");
-            !l.empty() && parse_u64(l, &number)) {
-          limit = static_cast<std::size_t>(number);
-        }
-        auto stats = service.link_stats();
-        tel::sort_links(stats, sort, limit);
-        return tel::HttpExporter::response(
-            200, "application/json",
-            tel::links_json(stats,
-                            health.slot.load(std::memory_order_relaxed)));
-      });
+  exporter.add_route("GET", "/api/v1/links", serve_verb("links"));
   exporter.add_prefix_route(
       "GET", "/api/v1/explain/",
       [&service](const support::telemetry::HttpRequest& request) {
@@ -1563,9 +1536,7 @@ int main(int argc, char** argv) {
                  support::telemetry::field("drained_completed",
                                            drained_completed),
                  support::telemetry::field("active_remaining",
-                                           service.active_sessions()),
-                 support::telemetry::field("log_suppressed",
-                                           service.log_events_suppressed()));
+                                           service.active_sessions()));
   // Close the mailbox BEFORE the exporter: pending and future control
   // submits fail fast with shutting_down, so an acceptor thread blocked in
   // a ctl request can answer and the exporter join cannot deadlock.
@@ -1605,8 +1576,6 @@ int main(int argc, char** argv) {
                   {static_cast<double>(exporter.requests_served())});
   summary.add_row("time-series samples",
                   {static_cast<double>(sampler.samples_taken())});
-  summary.add_row("log events suppressed",
-                  {static_cast<double>(service.log_events_suppressed())});
   std::cout << summary;
   return 0;
 }
