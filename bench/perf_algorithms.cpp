@@ -7,20 +7,23 @@
 //
 // `perf_algorithms --compare[=out.json]` instead runs the CachedChannelFinder
 // before/after comparison: every routing algorithm is timed on the §V-A
-// default scenario (50 switches, 10 users, Waxman, 20 networks) with finder
-// memoization disabled and then enabled, the per-repetition rates are checked
-// bit-identical, and the wall-clock times + routing perf counters are written
-// to BENCH_routing.json (or the given path). The same mode also times the
-// seed's lazy-heap Dijkstra (the graph::dijkstra_legacy test oracle in
-// tests/oracles/) against the SPF kernel call for call on those instances
-// and verifies the two produce identical trees.
+// default scenario (50 switches, 10 users, Waxman, 20 networks) in rounds
+// that alternate finder memoization disabled and enabled, the
+// per-repetition rates are checked bit-identical, and the wall-clock times +
+// routing perf counters are written to BENCH_routing.json (or the given
+// path). The same mode also times the seed's lazy-heap Dijkstra (the
+// graph::dijkstra_legacy test oracle in tests/oracles/) against the SPF
+// kernel call for call on those instances and verifies the two produce
+// identical trees.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -140,50 +143,66 @@ struct CompareEntry {
   bool identical() const { return uncached_rates == cached_rates; }
 };
 
-/// Timed passes of `algo` over all pre-built instances, split into rounds;
-/// the reported time is best-round * rounds, which filters scheduler noise
-/// the way best-of-N microbenchmarks do. Rates are collected from the first
-/// repetition sweep so cached/uncached runs can be compared bit-for-bit.
+/// One timed round: `passes` sweeps of `algo` over all pre-built
+/// instances. Appends the first sweep's rates to `rates` when non-null, so
+/// cached/uncached runs can be compared bit-for-bit, and adds the round's
+/// routing counters to `counters`.
 template <typename Algo>
-void run_mode(const std::vector<experiment::Instance>& instances,
-              const Algo& algo, bool cached, std::size_t rounds,
-              std::size_t passes_per_round, double& out_ms,
-              std::vector<double>& out_rates,
-              routing::PerfCounters& out_counters) {
-  routing::set_finder_cache_enabled(cached);
+double timed_round(const std::vector<experiment::Instance>& instances,
+                   const Algo& algo, std::size_t passes,
+                   std::vector<double>* rates,
+                   routing::PerfCounters& counters) {
   routing::reset_perf_counters();
-  out_rates.clear();
-  double best_round_ms = 0.0;
-  for (std::size_t round = 0; round < rounds; ++round) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t pass = 0; pass < passes_per_round; ++pass) {
-      for (const experiment::Instance& inst : instances) {
-        const double rate = algo(inst);
-        if (round == 0 && pass == 0) out_rates.push_back(rate);
-      }
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    for (const experiment::Instance& inst : instances) {
+      const double rate = algo(inst);
+      if (rates != nullptr && pass == 0) rates->push_back(rate);
     }
-    const auto stop = std::chrono::steady_clock::now();
-    const double round_ms =
-        std::chrono::duration<double, std::milli>(stop - start).count();
-    // Observed outside the timed window, so the quantiles in the exported
-    // snapshot (p50/p95/p99 of round wall time) cost the benchmark nothing.
-    MUERP_HISTOGRAM_OBSERVE("bench/round_ms", round_ms);
-    if (round == 0 || round_ms < best_round_ms) best_round_ms = round_ms;
   }
-  out_ms = best_round_ms * static_cast<double>(rounds);
-  out_counters = routing::perf_counters();
+  const auto stop = std::chrono::steady_clock::now();
+  const double round_ms =
+      std::chrono::duration<double, std::milli>(stop - start).count();
+  // Observed outside the timed window, so the quantiles in the exported
+  // snapshot (p50/p95/p99 of round wall time) cost the benchmark nothing.
+  MUERP_HISTOGRAM_OBSERVE("bench/round_ms", round_ms);
+  const routing::PerfCounters& round = routing::perf_counters();
+  counters.dijkstra_runs += round.dijkstra_runs;
+  counters.heap_pops += round.heap_pops;
+  counters.cache_hits += round.cache_hits;
+  counters.cache_misses += round.cache_misses;
+  counters.cache_invalidations += round.cache_invalidations;
+  return round_ms;
 }
 
+/// Uncached and cached rounds alternate, so drift of the host's speed over
+/// the run lands on both arms alike instead of inside their ratio. Each arm
+/// reports its best round * kRounds, which filters scheduler noise the way
+/// best-of-N microbenchmarks do.
 template <typename Algo>
 CompareEntry compare_algorithm(const std::string& name,
                                const std::vector<experiment::Instance>& instances,
                                const Algo& algo, std::size_t passes) {
   CompareEntry entry;
   entry.name = name;
-  run_mode(instances, algo, /*cached=*/false, kRounds, passes / kRounds,
-           entry.uncached_ms, entry.uncached_rates, entry.uncached_counters);
-  run_mode(instances, algo, /*cached=*/true, kRounds, passes / kRounds,
-           entry.cached_ms, entry.cached_rates, entry.cached_counters);
+  double best_uncached_ms = std::numeric_limits<double>::infinity();
+  double best_cached_ms = best_uncached_ms;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    routing::set_finder_cache_enabled(false);
+    best_uncached_ms = std::min(
+        best_uncached_ms,
+        timed_round(instances, algo, passes / kRounds,
+                    round == 0 ? &entry.uncached_rates : nullptr,
+                    entry.uncached_counters));
+    routing::set_finder_cache_enabled(true);
+    best_cached_ms = std::min(
+        best_cached_ms,
+        timed_round(instances, algo, passes / kRounds,
+                    round == 0 ? &entry.cached_rates : nullptr,
+                    entry.cached_counters));
+  }
+  entry.uncached_ms = best_uncached_ms * static_cast<double>(kRounds);
+  entry.cached_ms = best_cached_ms * static_cast<double>(kRounds);
   return entry;
 }
 
@@ -260,39 +279,48 @@ KernelCompare compare_kernel(
   static_assert(kKernelPasses % kRounds == 0);
   const std::size_t calls_per_round =
       (kKernelPasses / kRounds) * instances.size() * instances[0].users.size();
-  const auto time_variant = [&](auto&& run_one) {
-    double best_round_ms = 0.0;
-    for (std::size_t round = 0; round < kRounds; ++round) {
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t pass = 0; pass < kKernelPasses / kRounds; ++pass) {
-        for (std::size_t i = 0; i < instances.size(); ++i) {
-          const net::QuantumNetwork& network = instances[i].network;
-          const net::CapacityState& capacity = capacities[i];
-          const auto weight = [&](graph::EdgeId e) {
-            return network.edge_routing_weight(e);
-          };
-          const auto gate = [&](graph::NodeId v) {
-            return network.is_switch(v) && capacity.free_qubits(v) >= 2;
-          };
-          for (const net::NodeId source : instances[i].users) {
-            benchmark::DoNotOptimize(
-                run_one(network.graph(), source, weight, gate));
-          }
+  const auto time_round = [&](auto&& run_one) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t pass = 0; pass < kKernelPasses / kRounds; ++pass) {
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        const net::QuantumNetwork& network = instances[i].network;
+        const net::CapacityState& capacity = capacities[i];
+        const auto weight = [&](graph::EdgeId e) {
+          return network.edge_routing_weight(e);
+        };
+        const auto gate = [&](graph::NodeId v) {
+          return network.is_switch(v) && capacity.free_qubits(v) >= 2;
+        };
+        for (const net::NodeId source : instances[i].users) {
+          benchmark::DoNotOptimize(
+              run_one(network.graph(), source, weight, gate));
         }
       }
-      const auto stop = std::chrono::steady_clock::now();
-      const double round_ms =
-          std::chrono::duration<double, std::milli>(stop - start).count();
-      if (round == 0 || round_ms < best_round_ms) best_round_ms = round_ms;
     }
-    return best_round_ms * 1000.0 / static_cast<double>(calls_per_round);
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(stop - start).count();
   };
-  result.legacy_us = time_variant(
-      [](const graph::Graph& g, graph::NodeId s, const auto& w,
-         const auto& gate) { return graph::dijkstra_legacy(g, s, w, gate); });
-  result.kernel_us = time_variant(
-      [](const graph::Graph& g, graph::NodeId s, const auto& w,
-         const auto& gate) { return graph::dijkstra(g, s, w, gate); });
+  // Alternating rounds, best of each arm — as in compare_algorithm().
+  double best_legacy_ms = std::numeric_limits<double>::infinity();
+  double best_kernel_ms = best_legacy_ms;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    best_legacy_ms = std::min(
+        best_legacy_ms,
+        time_round([](const graph::Graph& g, graph::NodeId s, const auto& w,
+                      const auto& gate) {
+          return graph::dijkstra_legacy(g, s, w, gate);
+        }));
+    best_kernel_ms = std::min(
+        best_kernel_ms,
+        time_round([](const graph::Graph& g, graph::NodeId s, const auto& w,
+                      const auto& gate) {
+          return graph::dijkstra(g, s, w, gate);
+        }));
+  }
+  result.legacy_us =
+      best_legacy_ms * 1000.0 / static_cast<double>(calls_per_round);
+  result.kernel_us =
+      best_kernel_ms * 1000.0 / static_cast<double>(calls_per_round);
   return result;
 }
 
@@ -356,7 +384,7 @@ int run_compare(const std::string& output_path) {
   bool all_identical = true;
   std::printf(
       "CachedChannelFinder before/after — §V-A defaults, %zu passes "
-      "(best of %zu rounds)\n",
+      "(best of %zu alternated rounds)\n",
       kPasses, kRounds);
   std::printf("%-22s %12s %12s %9s %10s\n", "algorithm", "uncached ms",
               "cached ms", "speedup", "identical");

@@ -95,7 +95,9 @@ ScenarioResult run_scenario_impl(
   result.rates.assign(routers.size(),
                       std::vector<double>(scenario.repetitions, 0.0));
   result.telemetry.assign(routers.size(), tel::Snapshot{});
-  const std::uint64_t scenario_start = tel::monotonic_now_ns();
+  // Read only by the finish log line, which OFF builds compile out.
+  [[maybe_unused]] const std::uint64_t scenario_start =
+      tel::monotonic_now_ns();
   MUERP_LOG_INFO("runner/scenario_start",
                  tel::field("switches", scenario.switch_count),
                  tel::field("users", scenario.user_count),

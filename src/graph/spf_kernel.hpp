@@ -22,7 +22,8 @@
 //                  loop bit for bit: ties on distance settle in ascending
 //                  node order, exactly like the (distance, node) pairs the
 //                  old std::priority_queue compared. Migrated callers
-//                  therefore produce bit-identical results.
+//                  therefore produce bit-identical results. Nodes that can
+//                  only end a path (Def. 2 leaves) never enter the frontier.
 //   * DaryHeap   — the same 4-ary sift machinery as a standalone non-indexed
 //                  heap, for the label-setting constrained searches
 //                  (fidelity / purification) that push immutable labels and
@@ -42,10 +43,6 @@
 #include <limits>
 #include <utility>
 #include <vector>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "graph/graph.hpp"
 #include "support/telemetry/telemetry.hpp"
@@ -166,6 +163,8 @@ class SpfWorkspace {
     return reached(v) ? parent_[v] : kInvalidEdge;
   }
 
+  /// True for frontier nodes popped by the current query. Leaves are
+  /// reached but never settled.
   bool settled(NodeId v) const noexcept {
     return reached(v) && heap_pos_[v] == kSettled;
   }
@@ -188,122 +187,55 @@ class SpfWorkspace {
   }
 
   // --- query-side mutators (used by run(); public for the kernel tests) ---
+  //
+  // Leaves: a node reached for the first time that will never be expanded —
+  // it fails the expansion gate and is no search target — records its dist
+  // and parent but never enters the heap. Later improvements update dist and
+  // parent only. Leaves pop nothing and relax nothing, so keeping them out
+  // changes no frontier node's settle order.
 
-  /// Marks `source` reached at distance 0 and enqueues it.
+  /// Marks `source` reached at distance 0 and enqueues it on the heap.
   void seed(NodeId source) {
     assert(source < node_count_);
-    touch(source, 0.0, kInvalidEdge);
-    heap_push(source);
+    open(source, 0.0, kInvalidEdge);
   }
 
-  // --- scan-mode frontier (used by run() on small graphs) ---
-  //
-  // On graphs of up to a few hundred nodes run() replaces the heap with a
-  // linear minimum scan over a dense key array: keys are the tentative
-  // distance for open nodes and +infinity for untouched/settled ones, so
-  // selecting the next node is a pure min-reduction over doubles. The scan
-  // loops run a fixed trip count (the node count), so unlike heap sifts —
-  // or a compact variable-length frontier, which benchmarked worse — they
-  // leave no data-dependent branch history behind when the workload cycles
-  // through many distinct graphs. Scanning ascending ids with a strict `<`
-  // keeps the first (lowest-id) node among distance ties: exactly the
-  // heap's (distance, id) order, so both frontiers settle in the same
-  // sequence bit for bit.
-
-  /// Resets the scan keys for the current query. Call after begin().
-  void scan_begin() {
-    if (node_count_ > scan_key_.size()) {
-      scan_key_.resize(node_count_);
-    }
-    std::fill_n(scan_key_.begin(), node_count_, kUnreachable);
-  }
-
-  /// seed() for scan mode: no heap push, just the key.
-  void seed_scan(NodeId source) {
-    assert(source < node_count_);
-    touch(source, 0.0, kInvalidEdge);
-    scan_key_[source] = 0.0;
-  }
-
-  /// relax() for scan mode: improvements update the key in place.
-  void relax_scan(NodeId to, EdgeId via, double candidate) {
-    if (candidate == kUnreachable) return;
-    if (!reached(to)) {
-      touch(to, candidate, via);
-      scan_key_[to] = candidate;
-      return;
-    }
-    if (candidate < dist_[to]) {
-      assert(heap_pos_[to] != kSettled &&
-             "non-negative weights never improve a settled node");
-      dist_[to] = candidate;
-      parent_[to] = via;
-      scan_key_[to] = candidate;
-    }
-  }
-
-  /// Settles and returns the open node with minimal (distance, id), or
-  /// kInvalidNode when the frontier is empty. Two passes, both SIMD where
-  /// SSE2 is available (always on x86-64): a packed min-reduction for the
-  /// minimum value, then find-first of that value — the lowest id among
-  /// distance ties, matching the heap order. Keys are never NaN (weights
-  /// are asserted non-negative), so min_pd's NaN caveats don't apply.
-  NodeId scan_pop_min() {
-    const double* keys = scan_key_.data();
-    const std::size_t n = node_count_;
-    std::size_t v = 0;
-    double best = kUnreachable;
-#if defined(__SSE2__)
-    __m128d m0 = _mm_set1_pd(kUnreachable);
-    __m128d m1 = m0;
-    for (; v + 4 <= n; v += 4) {
-      m0 = _mm_min_pd(m0, _mm_loadu_pd(keys + v));
-      m1 = _mm_min_pd(m1, _mm_loadu_pd(keys + v + 2));
-    }
-    const __m128d m = _mm_min_pd(m0, m1);
-    best = _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-#endif
-    for (; v < n; ++v) best = keys[v] < best ? keys[v] : best;
-    if (best == kUnreachable) return kInvalidNode;
-    std::size_t i = 0;
-#if defined(__SSE2__)
-    const __m128d needle = _mm_set1_pd(best);
-    for (; i + 2 <= n; i += 2) {
-      const int mask =
-          _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(keys + i), needle));
-      if (mask != 0) {
-        i += (mask & 1) ? 0 : 1;
-        break;
-      }
-    }
-#endif
-    while (keys[i] != best) ++i;
-    scan_key_[i] = kUnreachable;
-    heap_pos_[i] = kSettled;
-    return static_cast<NodeId>(i);
-  }
-
-  /// Relaxes arc (`from` already settled) -> `to` with total `candidate`:
-  /// adopts it iff it strictly improves, pushing or decreasing `to`'s heap
-  /// key. Strict improvement reproduces the legacy loop's first-wins tie
-  /// handling.
+  /// Relaxation of arc (`from` already settled) -> `to` with total
+  /// `candidate`: a first reach enters the frontier, a strict improvement
+  /// decreases the key. Strict improvement reproduces the legacy loop's
+  /// first-wins tie handling.
   void relax(NodeId to, EdgeId via, double candidate) {
     // A +infinity candidate is a banned arc (or an unreachable tail): it can
     // never improve anything, and skipping it keeps the heap free of
     // sentinel entries, matching what the legacy strict-< loops enqueued.
     if (candidate == kUnreachable) return;
     if (!reached(to)) {
-      touch(to, candidate, via);
-      heap_push(to);
-      return;
+      open(to, candidate, via);
+    } else {
+      improve(to, via, candidate);
     }
-    if (candidate < dist_[to]) {
-      assert(heap_pos_[to] != kSettled &&
-             "non-negative weights never improve a settled node");
-      dist_[to] = candidate;
-      parent_[to] = via;
-      sift_up(heap_pos_[to]);
-    }
+  }
+
+  /// First reach of `v` for a node that enters the frontier.
+  void open(NodeId v, double dist, EdgeId via) {
+    touch(v, dist, via, kNotInHeap);
+    heap_push(v);
+  }
+
+  /// First reach of `v` for a leaf: dist and parent only.
+  void reach_leaf(NodeId v, double dist, EdgeId via) {
+    touch(v, dist, via, kLeaf);
+  }
+
+  /// Adopts `candidate` for the reached node `to` iff it strictly improves,
+  /// moving `to`'s heap key when it has one.
+  void improve(NodeId to, EdgeId via, double candidate) {
+    if (!(candidate < dist_[to])) return;
+    assert(heap_pos_[to] != kSettled &&
+           "non-negative weights never improve a settled node");
+    dist_[to] = candidate;
+    parent_[to] = via;
+    if (heap_pos_[to] != kLeaf) sift_up(heap_pos_[to]);
   }
 
   bool heap_empty() const noexcept { return heap_.empty(); }
@@ -334,12 +266,13 @@ class SpfWorkspace {
  private:
   static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
   static constexpr std::uint32_t kSettled = 0xFFFFFFFEu;
+  static constexpr std::uint32_t kLeaf = 0xFFFFFFFDu;
 
-  void touch(NodeId v, double dist, EdgeId via) {
+  void touch(NodeId v, double dist, EdgeId via, std::uint32_t pos) {
     stamp_[v] = generation_;
     dist_[v] = dist;
     parent_[v] = via;
-    heap_pos_[v] = kNotInHeap;
+    heap_pos_[v] = pos;
   }
 
   /// Heap order: (distance, node id) ascending — the exact order the legacy
@@ -394,79 +327,77 @@ class SpfWorkspace {
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> heap_pos_;
   std::vector<NodeId> heap_;
-  std::vector<double> scan_key_;  // scan-mode frontier keys (lazily sized)
   std::size_t node_count_ = 0;
   std::uint32_t generation_ = 0;
 };
 
-/// Up to this node count run() selects the frontier by linear min-scan
-/// instead of the indexed heap. O(n) per settle is at worst comparable to
-/// the heap on such sizes, and the scan's branches stay predictable when
-/// the workload cycles through many distinct graphs (see SpfWorkspace's
-/// scan-mode comment). Both frontiers settle in the same order, so the
-/// threshold is unobservable in results — it is purely a speed knob, and
-/// mutable so tests (and benchmarks) can force either path on one graph.
-inline constexpr std::size_t kScanFrontierMaxNodes = 256;
-
-inline std::size_t& scan_frontier_max_nodes() noexcept {
-  static std::size_t limit = kScanFrontierMaxNodes;
-  return limit;
-}
-
 /// The one Dijkstra. `weight(slot)` maps a CSR arc slot to its non-negative
 /// cost (+infinity excludes the arc); `allow_expand(v)` gates relaxation
 /// out of a non-source vertex — a vertex failing it can still be reached as
-/// a path endpoint (the quantum-channel rule of paper Def. 2). When
-/// `settle_target` is a valid node the search stops as soon as that node
-/// settles: its distance and path are final, and with strictly positive
-/// weights no consumer of a single destination can observe the difference.
-/// `pop_counter`, when non-null, accumulates settled nodes (the routing
-/// layer's hook into its own named counters; the plain pointer keeps the
-/// inner loop free of atomics).
-template <typename WeightFn, typename AllowExpandFn>
-void run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
+/// a path endpoint (the quantum-channel rule of paper Def. 2), and is kept
+/// out of the frontier unless it is a target. `is_target(v)` marks the
+/// `target_count` nodes the caller needs (0: run to the end): the search
+/// stops as soon as the last of them settles, since everything a consumer
+/// of those targets reads (their distances and parent chains, made of
+/// earlier-settled nodes) is then final. Returns true when the frontier
+/// drained instead; every reached node, leaves included, then holds its
+/// final dist and parent. After an early stop only settled nodes are
+/// final. `pop_counter`, when non-null, accumulates settled nodes (the
+/// routing layer's hook into its own named counters; the plain pointer
+/// keeps the inner loop free of atomics).
+///
+/// Frontier membership is decided once per node, when it is first reached:
+/// the source, the targets and nodes passing `allow_expand` enter the heap;
+/// every other node is a leaf (see SpfWorkspace). A popped target that
+/// fails `allow_expand` is settled but not expanded.
+template <typename WeightFn, typename AllowExpandFn, typename IsTargetFn>
+bool run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
          WeightFn&& weight, AllowExpandFn&& allow_expand,
-         NodeId settle_target = kInvalidNode,
+         IsTargetFn&& is_target, std::size_t target_count,
          std::uint64_t* pop_counter = nullptr) {
-  const std::size_t n = csr.node_count();
-  workspace.begin(n);
-  if (n <= scan_frontier_max_nodes()) {
-    MUERP_COUNTER_INC("spf/scan_runs");
-    workspace.scan_begin();
-    workspace.seed_scan(source);
-    for (;;) {
-      const NodeId v = workspace.scan_pop_min();
-      if (v == kInvalidNode) break;
-      if (pop_counter != nullptr) ++*pop_counter;
-      if (v == settle_target) break;
-      if (v != source && !allow_expand(v)) continue;
-      const double base = workspace.dist_unchecked(v);
-      const std::size_t end = csr.offsets[v + 1];
-      for (std::size_t slot = csr.offsets[v]; slot < end; ++slot) {
-        const double w = weight(slot);
-        assert(w >= 0.0 && "SPF kernel requires non-negative weights");
-        const Arc& arc = csr.arcs[slot];
-        workspace.relax_scan(arc.target, arc.edge, base + w);
-      }
-    }
-    return;
-  }
-  MUERP_COUNTER_INC("spf/heap_runs");
+  MUERP_COUNTER_INC("spf/runs");
+  workspace.begin(csr.node_count());
   workspace.seed(source);
+  std::size_t remaining = target_count;
   while (!workspace.heap_empty()) {
     const NodeId v = workspace.heap_pop_min();
     if (pop_counter != nullptr) ++*pop_counter;
-    if (v == settle_target) break;
-    if (v != source && !allow_expand(v)) continue;
+    if (is_target(v)) {
+      if (--remaining == 0) return false;
+      if (v != source && !allow_expand(v)) continue;
+    }
     const double base = workspace.dist_unchecked(v);
     const std::size_t end = csr.offsets[v + 1];
     for (std::size_t slot = csr.offsets[v]; slot < end; ++slot) {
       const double w = weight(slot);
       assert(w >= 0.0 && "SPF kernel requires non-negative weights");
+      const double candidate = base + w;
+      // +infinity is a banned arc: it never improves anything.
+      if (candidate == kUnreachable) continue;
       const Arc& arc = csr.arcs[slot];
-      workspace.relax(arc.target, arc.edge, base + w);
+      if (workspace.reached(arc.target)) {
+        workspace.improve(arc.target, arc.edge, candidate);
+      } else if (is_target(arc.target) || allow_expand(arc.target)) {
+        workspace.open(arc.target, candidate, arc.edge);
+      } else {
+        workspace.reach_leaf(arc.target, candidate, arc.edge);
+      }
     }
   }
+  return true;
+}
+
+/// run() with at most one target: the search stops once `settle_target`
+/// settles, or runs to the end when it is kInvalidNode.
+template <typename WeightFn, typename AllowExpandFn>
+bool run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
+         WeightFn&& weight, AllowExpandFn&& allow_expand,
+         NodeId settle_target = kInvalidNode,
+         std::uint64_t* pop_counter = nullptr) {
+  return run(
+      csr, workspace, source, weight, allow_expand,
+      [settle_target](NodeId v) { return v == settle_target; }, 1,
+      pop_counter);
 }
 
 /// Per-thread kernel context: a small ring of CSR views keyed to the

@@ -458,72 +458,29 @@ bool BatchRouter::run_spf(net::NodeId source,
   auto& ctx = graph::spf::thread_context();
   const graph::spf::Csr& csr = ctx.affine_csr_for(
       network_->graph(), network_->physical().attenuation, -log_swap_);
-  graph::spf::SpfWorkspace& ws = ctx.workspace;
-  const std::size_t n = csr.node_count();
-  assert(n == node_count_);
+  assert(csr.node_count() == node_count_);
 
-  // Stamp this run's pending users so the settle loop can count them down
+  // Stamp this run's pending users so the kernel can count them down
   // without a per-run membership clear.
   if (++pending_gen_ == 0) {
     std::fill(pending_stamp_.begin(), pending_stamp_.end(), 0u);
     pending_gen_ = 1;
   }
   for (const net::NodeId u : pending) pending_stamp_[u] = pending_gen_;
-  std::size_t remaining = pending.size();
-  bool complete = true;
 
-  const auto allow_expand = [&](net::NodeId v) {
-    return network_->is_switch(v) && capacity.free_qubits(v) >= 2;
-  };
-
-  // The spf::run loop with one extra pop-side check: once the last pending
-  // user settles, everything the growth scan and the winner extraction will
-  // read is final (a Dijkstra's settled prefix is bit-identical to the full
-  // run), so the rest of the frontier is abandoned. Mirrors spf::run's
-  // frontier selection exactly — including the scan/heap threshold — so
-  // settle order, and therefore every extracted answer, stays bit-identical
-  // to the run-to-exhaustion finders.
+  // The kernel stops once the last pending user settles: everything the
+  // growth scan and the winner extraction will read is final then (a
+  // Dijkstra's settled prefix is bit-identical to the full run), so the
+  // rest of the frontier is abandoned.
   std::uint64_t pops = 0;
-  ws.begin(n);
-  if (n <= graph::spf::scan_frontier_max_nodes()) {
-    MUERP_COUNTER_INC("spf/scan_runs");
-    ws.scan_begin();
-    ws.seed_scan(source);
-    for (;;) {
-      const net::NodeId v = ws.scan_pop_min();
-      if (v == graph::kInvalidNode) break;
-      ++pops;
-      if (pending_stamp_[v] == pending_gen_ && --remaining == 0) {
-        complete = false;
-        break;
-      }
-      if (v != source && !allow_expand(v)) continue;
-      const double base = ws.dist_unchecked(v);
-      const std::size_t end = csr.offsets[v + 1];
-      for (std::size_t arc = csr.offsets[v]; arc < end; ++arc) {
-        ws.relax_scan(csr.arcs[arc].target, csr.arcs[arc].edge,
-                      base + csr.value(arc));
-      }
-    }
-  } else {
-    MUERP_COUNTER_INC("spf/heap_runs");
-    ws.seed(source);
-    while (!ws.heap_empty()) {
-      const net::NodeId v = ws.heap_pop_min();
-      ++pops;
-      if (pending_stamp_[v] == pending_gen_ && --remaining == 0) {
-        complete = false;
-        break;
-      }
-      if (v != source && !allow_expand(v)) continue;
-      const double base = ws.dist_unchecked(v);
-      const std::size_t end = csr.offsets[v + 1];
-      for (std::size_t arc = csr.offsets[v]; arc < end; ++arc) {
-        ws.relax(csr.arcs[arc].target, csr.arcs[arc].edge,
-                 base + csr.value(arc));
-      }
-    }
-  }
+  const bool complete = graph::spf::run(
+      csr, ctx.workspace, source,
+      [&](std::size_t slot) { return csr.value(slot); },
+      [&](net::NodeId v) {
+        return network_->is_switch(v) && capacity.free_qubits(v) >= 2;
+      },
+      [&](net::NodeId v) { return pending_stamp_[v] == pending_gen_; },
+      pending.size(), &pops);
   kHeapPops.add(pops);
   return complete;
 }
@@ -561,14 +518,15 @@ void BatchRouter::build_tree(std::size_t slot, net::NodeId source,
   const bool complete = run_spf(source, pending, capacity);
   graph::spf::SpfWorkspace& ws = graph::spf::thread_context().workspace;
 
-  // Extract the settled prefix into the slab. Unsettled entries read as
-  // unreachable — consumers only read settled ones (pending users covered
-  // by the early-exit countdown; parent chains of settled nodes consist of
+  // A complete run leaves every reached node final, leaves included. An
+  // early exit leaves only the settled prefix final; the rest reads as
+  // unreachable — consumers only read settled ones there (pending users
+  // covered by the countdown; parent chains of settled nodes consist of
   // earlier-settled nodes).
   double* dist = slab_dist_.data() + slot * node_count_;
   graph::EdgeId* parent = slab_parent_.data() + slot * node_count_;
   for (net::NodeId v = 0; v < node_count_; ++v) {
-    if (ws.settled(v)) {
+    if (complete ? ws.reached(v) : ws.settled(v)) {
       dist[v] = ws.dist_unchecked(v);
       parent[v] = ws.parent(v);
     } else {

@@ -128,6 +128,9 @@ class BatchRouter {
                            net::CapacityState& capacity);
 
  private:
+  /// White-box access to the slab cache for the router's tests.
+  friend struct BatchRouterTestPeer;
+
   /// Per-slab metadata; the tree data itself lives in the flat SoA arrays.
   struct SlabMeta {
     net::NodeId source = 0;

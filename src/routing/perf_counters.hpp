@@ -30,7 +30,8 @@ struct PerfCounters {
   /// Full single-source Dijkstra runs (cache misses recompute; disabled
   /// caches recompute every query).
   std::uint64_t dijkstra_runs = 0;
-  /// Priority-queue pops across all Dijkstra runs (stale entries included).
+  /// Frontier nodes settled across all Dijkstra runs (Def. 2 leaves never
+  /// enter the frontier, so they are not counted).
   std::uint64_t heap_pops = 0;
   /// Cached shortest-path trees served without recomputation.
   std::uint64_t cache_hits = 0;

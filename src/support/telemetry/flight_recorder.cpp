@@ -76,14 +76,12 @@ RoutingWork routing_work_delta(const RoutingWork& before,
 RoutingWork capture_routing_work() noexcept {
   // Construction re-finds (or registers) the names the routing layer uses;
   // static so registration happens once per process.
-  static const Counter scan_runs("spf/scan_runs");
-  static const Counter heap_runs("spf/heap_runs");
+  static const Counter spf_runs("spf/runs");
   static const Counter dijkstra_runs("batch/dijkstra_runs");
   static const Counter tree_cache_hits("batch/tree_cache_hits");
   static const Counter deferred("batch/deferred");
   RoutingWork w;
-  w.spf_runs = counter_thread_value(scan_runs.id()) +
-               counter_thread_value(heap_runs.id());
+  w.spf_runs = counter_thread_value(spf_runs.id());
   w.dijkstra_runs = counter_thread_value(dijkstra_runs.id());
   w.slab_hits = counter_thread_value(tree_cache_hits.id());
   w.contention_losses = counter_thread_value(deferred.id());

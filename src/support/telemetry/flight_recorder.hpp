@@ -86,7 +86,7 @@ bool parse_session_state(std::string_view name, SessionState* out) noexcept;
 /// bit-identity. Under burst intake one routing call admits a whole batch,
 /// so every record of that batch carries the batch-level delta.
 struct RoutingWork {
-  /// SPF kernel invocations (spf/scan_runs + spf/heap_runs).
+  /// SPF kernel invocations (spf/runs).
   std::uint64_t spf_runs = 0;
   /// Early-exit Dijkstras the batch kernel ran (batch/dijkstra_runs).
   std::uint64_t dijkstra_runs = 0;

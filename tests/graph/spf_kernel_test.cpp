@@ -1,7 +1,8 @@
 // SPF kernel tests: CSR equivalence against the adjacency list, workspace
 // reuse (including the generation-counter wrap), heap ordering under
-// decrease-key, scan-vs-heap frontier bit-identity, and the §V-A regression
-// that pins the kernel to the seed's lazy-heap Dijkstra bit for bit.
+// decrease-key, bit-identity against a linear-scan frontier, the Def. 2
+// leaf rule under early stops, and the §V-A regression that pins the kernel
+// to the seed's lazy-heap Dijkstra bit for bit.
 #include "graph/spf_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "graph/graph.hpp"
 #include "network/quantum_network.hpp"
 #include "oracles/dijkstra_legacy.hpp"
+#include "oracles/dijkstra_scan.hpp"
 
 namespace muerp {
 namespace {
@@ -42,19 +44,6 @@ graph::Graph random_graph(std::mt19937& rng, std::size_t nodes,
   }
   return g;
 }
-
-/// Forces run() onto one frontier for the lifetime of the object.
-class ScopedFrontier {
- public:
-  explicit ScopedFrontier(std::size_t limit)
-      : saved_(graph::spf::scan_frontier_max_nodes()) {
-    graph::spf::scan_frontier_max_nodes() = limit;
-  }
-  ~ScopedFrontier() { graph::spf::scan_frontier_max_nodes() = saved_; }
-
- private:
-  std::size_t saved_;
-};
 
 TEST(Csr, MatchesAdjacencyOnRandomTopologies) {
   std::mt19937 rng(7);
@@ -103,8 +92,12 @@ TEST(Context, CachesViewsPerTopologyVersion) {
     EXPECT_EQ(affine->value(slot), 2.0 * first->value(slot) + 1.0);
   }
 
-  // Mutation changes the version: the cached view must be rebuilt.
-  g.add_edge(0, 11, 3.0);
+  // Mutation changes the version: the cached view must be rebuilt. The new
+  // edge joins node 0 to the first node it is not yet adjacent to.
+  graph::NodeId other = 1;
+  while (other < g.node_count() && g.has_edge(0, other)) ++other;
+  ASSERT_LT(other, g.node_count());
+  g.add_edge(0, other, 3.0);
   const graph::spf::Csr& rebuilt = ctx.csr_for(g);
   EXPECT_EQ(rebuilt.arc_count(), 2 * g.edge_count());
 }
@@ -208,6 +201,9 @@ TEST(SpfWorkspace, IndexedHeapPopsInDistanceNodeOrderUnderDecreaseKey) {
   }
 }
 
+/// The kernel's indexed heap against the linear-scan oracle: both settle in
+/// (distance, id) order, so they agree on every node's dist and parent —
+/// leaves, which the heap never holds, included.
 TEST(SpfKernel, ScanAndHeapFrontiersAreBitIdentical) {
   std::mt19937 rng(59);
   for (int round = 0; round < 20; ++round) {
@@ -220,18 +216,14 @@ TEST(SpfKernel, ScanAndHeapFrontiersAreBitIdentical) {
     auto gate = [](graph::NodeId v) { return (v * 2654435761u) % 8u != 0; };
     const auto source = static_cast<graph::NodeId>(round % nodes);
 
-    graph::spf::SpfWorkspace heap_ws, scan_ws;
-    {
-      ScopedFrontier force_heap(0);
-      graph::spf::run(csr, heap_ws, source, weight, gate);
-    }
-    {
-      ScopedFrontier force_scan(nodes);
-      graph::spf::run(csr, scan_ws, source, weight, gate);
-    }
+    graph::spf::SpfWorkspace heap_ws;
+    EXPECT_TRUE(graph::spf::run(csr, heap_ws, source, weight, gate));
+    const graph::ShortestPaths scan = graph::dijkstra_scan(
+        g, source, [&](graph::EdgeId e) { return g.edge(e).length_km; },
+        gate);
     for (graph::NodeId v = 0; v < nodes; ++v) {
-      EXPECT_EQ(heap_ws.dist(v), scan_ws.dist(v));
-      EXPECT_EQ(heap_ws.parent(v), scan_ws.parent(v));
+      EXPECT_EQ(heap_ws.dist(v), scan.distance[v]);
+      EXPECT_EQ(heap_ws.parent(v), scan.parent_edge[v]);
     }
   }
 }
@@ -252,10 +244,82 @@ TEST(SpfKernel, SettleTargetStopsEarlyWithExactDistance) {
   }
 }
 
+/// Def. 2 leaves: a settle target that fails the expansion gate (a user
+/// endpoint) still enters the frontier, so the search stops as soon as it
+/// settles, with the full run's dist and parent.
+TEST(SpfKernel, NonExpandableTargetStopsEarlyWithExactDistance) {
+  std::mt19937 rng(67);
+  const graph::Graph g = random_graph(rng, 40, 0.12);
+  graph::spf::Csr csr;
+  csr.build_from(g);
+  auto weight = [&](std::size_t slot) { return csr.value(slot); };
+  auto gate = [](graph::NodeId v) { return v % 3 != 0; };
+  graph::spf::SpfWorkspace full, targeted;
+  std::uint64_t full_pops = 0;
+  EXPECT_TRUE(graph::spf::run(csr, full, 1, weight, gate, graph::kInvalidNode,
+                              &full_pops));
+  std::size_t stopped_early = 0;
+  for (graph::NodeId target = 3; target < g.node_count(); target += 3) {
+    if (!full.reached(target)) continue;
+    std::uint64_t pops = 0;
+    EXPECT_FALSE(
+        graph::spf::run(csr, targeted, 1, weight, gate, target, &pops));
+    EXPECT_TRUE(targeted.settled(target));
+    EXPECT_EQ(targeted.dist(target), full.dist(target)) << target;
+    EXPECT_EQ(targeted.parent(target), full.parent(target)) << target;
+    if (pops < full_pops) ++stopped_early;
+  }
+  EXPECT_GT(stopped_early, 0u);
+}
+
+/// The countdown form: every target that settles before the last one is
+/// settled but not expanded (it fails the gate), so paths to later targets
+/// never run through it and match the full run exactly. Leaves are never
+/// settled; a run to the end leaves them with their final dist and parent.
+TEST(SpfKernel, TargetCountdownKeepsNonExpandableTargetsClosed) {
+  std::mt19937 rng(71);
+  for (int round = 0; round < 8; ++round) {
+    const graph::Graph g = random_graph(rng, 30 + round * 9, 0.1);
+    graph::spf::Csr csr;
+    csr.build_from(g);
+    auto weight = [&](std::size_t slot) { return csr.value(slot); };
+    auto gate = [](graph::NodeId v) { return v % 4 != 0; };
+    const graph::NodeId source = 1;
+    const graph::ShortestPaths legacy = graph::dijkstra_legacy(
+        g, source, [&](graph::EdgeId e) { return g.edge(e).length_km; },
+        gate);
+    // Targets the gate leaves unreachable never settle, so the countdown
+    // covers the reachable ones only.
+    auto is_target = [](graph::NodeId v) { return v % 8 == 0; };
+    std::size_t target_count = 0;
+    for (graph::NodeId v = 0; v < g.node_count(); v += 8) {
+      if (legacy.distance[v] < kInf) ++target_count;
+    }
+    graph::spf::SpfWorkspace ws;
+    EXPECT_FALSE(graph::spf::run(csr, ws, source, weight, gate, is_target,
+                                 target_count));
+    for (graph::NodeId v = 0; v < g.node_count(); v += 8) {
+      EXPECT_EQ(ws.settled(v), legacy.distance[v] < kInf);
+      EXPECT_EQ(ws.dist(v), legacy.distance[v]) << "round " << round;
+      EXPECT_EQ(ws.parent(v), legacy.parent_edge[v]);
+    }
+    // One more target than can settle: the frontier drains instead.
+    EXPECT_TRUE(graph::spf::run(csr, ws, source, weight, gate, is_target,
+                                target_count + 1));
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(ws.dist(v), legacy.distance[v]) << "round " << round;
+      EXPECT_EQ(ws.parent(v), legacy.parent_edge[v]);
+      if (v != source && !gate(v) && !is_target(v)) {
+        EXPECT_FALSE(ws.settled(v)) << "leaf " << v << " was settled";
+      }
+    }
+  }
+}
+
 /// The tentpole's contract on the paper's own workload: on §V-A default
 /// instances, the kernel (through the graph::dijkstra shim) reproduces the
 /// seed's lazy-heap Dijkstra bit for bit — distances AND parent edges —
-/// under the routing metric and the Def. 2 relay gate, on both frontiers.
+/// under the routing metric and the Def. 2 relay gate.
 TEST(SpfKernel, BitIdenticalToLegacyOnSectionVADefaults) {
   experiment::Scenario scenario;  // §V-A defaults
   for (std::size_t rep : {0u, 7u, 19u}) {
@@ -273,16 +337,13 @@ TEST(SpfKernel, BitIdenticalToLegacyOnSectionVADefaults) {
     for (const net::NodeId source : inst.users) {
       const graph::ShortestPaths legacy =
           graph::dijkstra_legacy(g, source, weight, relay_gate);
-      for (const std::size_t limit : {std::size_t{0}, g.node_count()}) {
-        ScopedFrontier frontier(limit);
-        const graph::ShortestPaths kernel =
-            graph::dijkstra(g, source, weight, relay_gate);
-        ASSERT_EQ(kernel.distance.size(), legacy.distance.size());
-        for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-          EXPECT_EQ(kernel.distance[v], legacy.distance[v])
-              << "rep " << rep << " source " << source << " node " << v;
-          EXPECT_EQ(kernel.parent_edge[v], legacy.parent_edge[v]);
-        }
+      const graph::ShortestPaths kernel =
+          graph::dijkstra(g, source, weight, relay_gate);
+      ASSERT_EQ(kernel.distance.size(), legacy.distance.size());
+      for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+        EXPECT_EQ(kernel.distance[v], legacy.distance[v])
+            << "rep " << rep << " source " << source << " node " << v;
+        EXPECT_EQ(kernel.parent_edge[v], legacy.parent_edge[v]);
       }
     }
   }

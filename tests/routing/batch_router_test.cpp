@@ -2,25 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "extensions/multigroup.hpp"
-#include "graph/spf_kernel.hpp"
 #include "network/channel.hpp"
 #include "network/network_builder.hpp"
 #include "network/rate.hpp"
+#include "oracles/dijkstra_legacy.hpp"
+#include "oracles/dijkstra_scan.hpp"
 #include "oracles/multigroup_reference.hpp"
 #include "routing/router.hpp"
 #include "support/rng.hpp"
 #include "topology/waxman.hpp"
 
 namespace muerp::routing {
+
+/// Reads and drives BatchRouter's slab cache directly (a friend of it).
+struct BatchRouterTestPeer {
+  static void begin_scope(BatchRouter& router) { router.begin_scope(); }
+  static std::size_t tree_for(BatchRouter& router, net::NodeId source,
+                              std::span<const net::NodeId> pending,
+                              const net::CapacityState& capacity) {
+    return router.tree_for(source, pending, capacity);
+  }
+  static bool complete(const BatchRouter& router, std::size_t slot) {
+    return router.slab_meta_[slot].complete;
+  }
+  static const std::vector<net::NodeId>& targets(const BatchRouter& router,
+                                                 std::size_t slot) {
+    return router.slab_meta_[slot].targets;
+  }
+  static double dist(const BatchRouter& router, std::size_t slot,
+                     net::NodeId v) {
+    return router.slab_dist_[slot * router.node_count_ + v];
+  }
+  static graph::EdgeId parent(const BatchRouter& router, std::size_t slot,
+                              net::NodeId v) {
+    return router.slab_parent_[slot * router.node_count_ + v];
+  }
+  static std::vector<net::NodeId> path(const BatchRouter& router,
+                                       std::size_t slot, net::NodeId source,
+                                       net::NodeId dest) {
+    return router.extract_channel(slot, source, dest).path;
+  }
+};
+
 namespace {
 
 using net::NodeId;
+
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 /// Random Waxman instance with `user_count` users split into `group_count`
 /// disjoint groups (round-robin) — the standard contention workload.
@@ -122,35 +160,42 @@ TEST_P(BatchOracle, FairShareMatchesInterleavedReference) {
   }
 }
 
-/// The scan/heap mode switch in the SPF kernel must not change results:
-/// force heap mode (threshold 0) and compare against default (scan for
-/// these sizes).
+/// The router's heap-kernel trees against the linear-scan oracle, on the
+/// residual capacity a fair-share batch leaves behind: the relays it drained
+/// are Def. 2 leaves, and a complete slab must still hold the scan
+/// frontier's dist and parent at every node.
 TEST_P(BatchOracle, ScanAndHeapModesAgree) {
   const Workload w = make_workload(GetParam() + 2000);
-  const auto requests = w.requests();
   BatchOptions options;
   options.policy = BatchPolicy::kFairShare;
+  support::Rng rng(GetParam() + 3);
+  BatchRouter batch(w.network);
+  const BatchResult result = batch.route(w.requests(), options, rng);
 
-  support::Rng r1(GetParam() + 3);
-  BatchRouter router1(w.network);
-  const BatchResult scan = router1.route(requests, options, r1);
-
-  const std::size_t saved = graph::spf::scan_frontier_max_nodes();
-  graph::spf::scan_frontier_max_nodes() = 0;  // force heap mode
-  support::Rng r2(GetParam() + 3);
-  BatchRouter router2(w.network);
-  const BatchResult heap = router2.route(requests, options, r2);
-  graph::spf::scan_frontier_max_nodes() = saved;
-
-  ASSERT_EQ(scan.outcomes.size(), heap.outcomes.size());
-  EXPECT_EQ(scan.served_product_rate, heap.served_product_rate);
-  for (std::size_t i = 0; i < scan.outcomes.size(); ++i) {
-    EXPECT_EQ(scan.outcomes[i].tree.rate, heap.outcomes[i].tree.rate);
-    ASSERT_EQ(scan.outcomes[i].tree.channels.size(),
-              heap.outcomes[i].tree.channels.size());
-    for (std::size_t c = 0; c < scan.outcomes[i].tree.channels.size(); ++c) {
-      EXPECT_EQ(scan.outcomes[i].tree.channels[c].path,
-                heap.outcomes[i].tree.channels[c].path);
+  net::CapacityState capacity(w.network);
+  for (const BatchGroupOutcome& outcome : result.outcomes) {
+    for (const net::Channel& channel : outcome.tree.channels) {
+      capacity.commit_channel(channel.path);
+    }
+  }
+  const graph::Graph& g = w.network.graph();
+  BatchRouter router(w.network);
+  BatchRouterTestPeer::begin_scope(router);
+  for (const NodeId source : w.network.users()) {
+    const std::size_t slot =
+        BatchRouterTestPeer::tree_for(router, source, {}, capacity);
+    ASSERT_TRUE(BatchRouterTestPeer::complete(router, slot));
+    const graph::ShortestPaths scan = graph::dijkstra_scan(
+        g, source,
+        [&](graph::EdgeId e) { return w.network.edge_routing_weight(e); },
+        [&](NodeId v) {
+          return w.network.is_switch(v) && capacity.free_qubits(v) >= 2;
+        });
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(BatchRouterTestPeer::dist(router, slot, v), scan.distance[v])
+          << "source " << source << " node " << v;
+      EXPECT_EQ(BatchRouterTestPeer::parent(router, slot, v),
+                scan.parent_edge[v]);
     }
   }
 }
@@ -476,6 +521,179 @@ TEST(RouterBatch, RouteBatchReportsElapsed) {
       RouterRegistry::instance().at("alg4").route_batch(request);
   EXPECT_EQ(outcome.result.outcomes.size(), requests.size());
   EXPECT_GE(outcome.elapsed_ms, 0.0);
+}
+
+// --- Slab cache under the Def. 2 leaf rule ---------------------------------
+
+/// A leaf-rich random network: 40 switches with 1–4 qubits (so some never
+/// relay), 10 users on 1–2 switches each, and one isolated user that no
+/// search reaches — a tree whose pending set holds it runs to the end.
+struct LeafNet {
+  net::QuantumNetwork network;
+  std::vector<NodeId> users;  // connected users, ascending
+  NodeId isolated = 0;
+};
+
+LeafNet leaf_net(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> coord(0.0, 1000.0);
+  net::NetworkBuilder b;
+  std::vector<NodeId> switches;
+  for (int i = 0; i < 40; ++i) {
+    const NodeId s =
+        b.add_switch({coord(rng), coord(rng)}, 1 + static_cast<int>(rng() % 4));
+    std::set<NodeId> peers;
+    for (int k = 0; k < 3 && k < static_cast<int>(switches.size()); ++k) {
+      peers.insert(switches[rng() % switches.size()]);
+    }
+    for (const NodeId peer : peers) b.connect_euclidean(s, peer);
+    switches.push_back(s);
+  }
+  std::vector<NodeId> users;
+  for (int i = 0; i < 10; ++i) {
+    const NodeId u = b.add_user({coord(rng), coord(rng)});
+    std::set<NodeId> peers{switches[rng() % switches.size()],
+                           switches[rng() % switches.size()]};
+    for (const NodeId peer : peers) b.connect_euclidean(u, peer);
+    users.push_back(u);
+  }
+  const NodeId isolated = b.add_user({coord(rng), coord(rng)});
+  return {std::move(b).build({1e-4, 0.9}), users, isolated};
+}
+
+/// The legacy oracle's full run under the Def. 2 relay gate.
+graph::ShortestPaths legacy_tree(const net::QuantumNetwork& network,
+                                 const net::CapacityState& capacity,
+                                 NodeId source) {
+  return graph::dijkstra_legacy(
+      network.graph(), source,
+      [&](graph::EdgeId e) { return network.edge_routing_weight(e); },
+      [&](graph::NodeId v) {
+        return network.is_switch(v) && capacity.free_qubits(v) >= 2;
+      });
+}
+
+/// Leaves hold only dist and parent, never a frontier slot; a complete slab
+/// must still hold the full run's answer at every node — non-pending users
+/// and relay-less switches included.
+TEST(BatchRouterSlab, CompleteSlabMatchesLegacyAtEveryNode) {
+  for (std::uint32_t seed = 1; seed <= 6; ++seed) {
+    const LeafNet fx = leaf_net(seed);
+    const graph::Graph& g = fx.network.graph();
+    net::CapacityState capacity(fx.network);
+    BatchRouter router(fx.network);
+    BatchRouterTestPeer::begin_scope(router);
+    for (std::size_t i = 0; i + 1 < fx.users.size(); i += 2) {
+      const NodeId source = fx.users[i];
+      std::vector<NodeId> pending{fx.users[i + 1], fx.isolated};
+      std::sort(pending.begin(), pending.end());
+      const std::size_t slot =
+          BatchRouterTestPeer::tree_for(router, source, pending, capacity);
+      ASSERT_TRUE(BatchRouterTestPeer::complete(router, slot));
+      const graph::ShortestPaths legacy =
+          legacy_tree(fx.network, capacity, source);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        EXPECT_EQ(BatchRouterTestPeer::dist(router, slot, v),
+                  legacy.distance[v])
+            << "seed " << seed << " source " << source << " node " << v;
+        EXPECT_EQ(BatchRouterTestPeer::parent(router, slot, v),
+                  legacy.parent_edge[v]);
+      }
+    }
+  }
+}
+
+/// Commits synthetic channels (a, s, b) until `s` can no longer relay.
+void drain(net::CapacityState& capacity, NodeId s, NodeId a, NodeId b) {
+  const std::vector<NodeId> path{a, s, b};
+  while (capacity.free_qubits(s) >= 2) capacity.commit_channel(path);
+}
+
+/// An early-exit slab keeps only its settled prefix. Reused for a subset of
+/// its targets after relay losses (on or off its paths) and relay gains
+/// (switches that were leaves when it was built), it must answer exactly
+/// like a tree rebuilt from scratch.
+TEST(BatchRouterSlab, IncompleteSlabReusedAfterRelayFlipsMatchesRebuild) {
+  std::size_t reused = 0;
+  std::size_t rebuilt = 0;
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    const LeafNet fx = leaf_net(seed);
+    net::CapacityState capacity(fx.network);
+    const NodeId a = fx.users[1];
+    const NodeId b = fx.users[2];
+    // Every other relaying switch starts drained, so the flips below are
+    // gains as well as losses.
+    std::vector<NodeId> to_drain;
+    std::vector<NodeId> to_release;
+    for (const NodeId s : fx.network.switches()) {
+      if (capacity.free_qubits(s) < 2) continue;
+      if (to_release.size() == to_drain.size()) {
+        drain(capacity, s, a, b);
+        to_release.push_back(s);
+      } else {
+        to_drain.push_back(s);
+      }
+    }
+
+    const NodeId source = fx.users[0];
+    const graph::ShortestPaths initial =
+        legacy_tree(fx.network, capacity, source);
+    std::vector<NodeId> pending;
+    for (const NodeId u : fx.users) {
+      if (u != source && initial.distance[u] < kInfinity) pending.push_back(u);
+    }
+    if (pending.size() < 2) continue;
+    const std::vector<NodeId> subset(pending.begin() + 1, pending.end());
+
+    BatchRouter router(fx.network);
+    BatchRouterTestPeer::begin_scope(router);
+    const std::size_t slot =
+        BatchRouterTestPeer::tree_for(router, source, pending, capacity);
+    ASSERT_FALSE(BatchRouterTestPeer::complete(router, slot));
+
+    const std::size_t flips = 2 * std::max(to_drain.size(), to_release.size());
+    for (std::size_t k = 0; k < flips; ++k) {
+      if (k % 2 == 0 && k / 2 < to_release.size()) {
+        const std::vector<NodeId> path{a, to_release[k / 2], b};
+        capacity.release_channel(path);  // a gain
+      } else if (k % 2 == 1 && k / 2 < to_drain.size()) {
+        drain(capacity, to_drain[k / 2], a, b);  // a loss
+      } else {
+        continue;
+      }
+
+      const std::size_t reuse =
+          BatchRouterTestPeer::tree_for(router, source, subset, capacity);
+      // A rebuild records `subset` as the slab's targets; a reuse keeps
+      // the build-time `pending`.
+      const bool was_reused =
+          BatchRouterTestPeer::targets(router, reuse) == pending;
+      (was_reused ? reused : rebuilt) += 1;
+
+      BatchRouter fresh(fx.network);
+      BatchRouterTestPeer::begin_scope(fresh);
+      const std::size_t truth =
+          BatchRouterTestPeer::tree_for(fresh, source, subset, capacity);
+      for (const NodeId u : subset) {
+        const double d = BatchRouterTestPeer::dist(fresh, truth, u);
+        ASSERT_EQ(BatchRouterTestPeer::dist(router, reuse, u), d)
+            << "seed " << seed << " flip " << k << " user " << u;
+        if (d < kInfinity) {
+          EXPECT_EQ(BatchRouterTestPeer::path(router, reuse, source, u),
+                    BatchRouterTestPeer::path(fresh, truth, source, u));
+        }
+      }
+      if (!was_reused) {
+        // Start over from an early-exit slab for all of `pending`.
+        BatchRouterTestPeer::begin_scope(router);
+        const std::size_t again =
+            BatchRouterTestPeer::tree_for(router, source, pending, capacity);
+        if (BatchRouterTestPeer::complete(router, again)) break;
+      }
+    }
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(rebuilt, 0u);
 }
 
 // --- ResidualNetworkView ---------------------------------------------------

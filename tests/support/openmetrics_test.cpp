@@ -25,18 +25,6 @@ std::vector<std::string> lines_of(const std::string& text) {
   return lines;
 }
 
-/// Value of the unique sample line starting with "<series> " — NaN when the
-/// series is absent (so EXPECT_* fails loudly rather than crashing).
-double sample_value(const std::string& text, const std::string& series) {
-  for (const std::string& line : lines_of(text)) {
-    if (line.size() > series.size() && line.compare(0, series.size(), series) == 0 &&
-        line[series.size()] == ' ') {
-      return std::stod(line.substr(series.size() + 1));
-    }
-  }
-  return std::numeric_limits<double>::quiet_NaN();
-}
-
 TEST(HistogramQuantile, EmptyIsZero) {
   const HistogramData h;
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
@@ -121,6 +109,18 @@ TEST(OpenMetrics, EmptySnapshotIsStillAValidPage) {
 }
 
 #if MUERP_TELEMETRY_ENABLED
+
+/// Value of the unique sample line starting with "<series> " — NaN when the
+/// series is absent (so EXPECT_* fails loudly rather than crashing).
+double sample_value(const std::string& text, const std::string& series) {
+  for (const std::string& line : lines_of(text)) {
+    if (line.size() > series.size() && line.compare(0, series.size(), series) == 0 &&
+        line[series.size()] == ' ') {
+      return std::stod(line.substr(series.size() + 1));
+    }
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
 
 TEST(OpenMetrics, CounterGaugeRoundTrip) {
   const Counter hits("omtest/hits");
