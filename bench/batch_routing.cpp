@@ -39,6 +39,7 @@
 #include "support/telemetry/telemetry.hpp"
 
 #include "figure_common.hpp"
+#include "host_stamp.hpp"
 
 namespace {
 
@@ -257,7 +258,8 @@ int run(const std::string& output_path) {
 
   std::ofstream out(output_path);
   out << std::setprecision(17);
-  out << "{\n  \"scenario\": {\"topology\": \"Waxman\", \"switches\": "
+  out << "{\n  \"host\": " << bench::host_stamp_json() << ",\n";
+  out << "  \"scenario\": {\"topology\": \"Waxman\", \"switches\": "
       << kSwitches << ", \"users\": " << kUsers << ", \"qubits_per_switch\": "
       << kQubitsPerSwitch << ", \"groups\": " << kGroups
       << ", \"group_size\": " << kGroupSize << ", \"networks\": " << kNetworks

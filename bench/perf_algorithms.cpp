@@ -43,6 +43,8 @@
 #include "support/telemetry/telemetry.hpp"
 #include "support/telemetry/export.hpp"
 
+#include "host_stamp.hpp"
+
 namespace {
 
 using namespace muerp;
@@ -427,7 +429,8 @@ int run_compare(const std::string& output_path) {
     std::cerr << "cannot write " << output_path << "\n";
     return 1;
   }
-  out << "{\n  \"scenario\": {\"topology\": \"Waxman\", \"switches\": "
+  out << "{\n  \"host\": " << bench::host_stamp_json() << ",\n";
+  out << "  \"scenario\": {\"topology\": \"Waxman\", \"switches\": "
       << scenario.switch_count << ", \"users\": " << scenario.user_count
       << ", \"qubits_per_switch\": " << scenario.qubits_per_switch
       << ", \"repetitions\": " << scenario.repetitions

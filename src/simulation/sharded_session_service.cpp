@@ -334,18 +334,30 @@ std::span<const double> ShardedSessionService::lane_admit_us(
 std::vector<support::telemetry::SessionRecord>
 ShardedSessionService::session_records(
     const support::telemetry::SessionFilter& filter) const {
-  std::vector<support::telemetry::SessionRecord> merged;
-  // Per-lane queries run unlimited; the limit applies to the merged list so
-  // "last n" means the same records no matter how lanes interleaved.
-  support::telemetry::SessionFilter lane_filter = filter;
-  lane_filter.limit = 0;
+  using support::telemetry::SessionRecord;
+  // Every lane copies at most filter.limit records: no lane can place more
+  // than that in the merged tail.
+  std::vector<SessionRecord> merged;
   for (const auto& lane : lanes_) {
     if (!lane->recorder) continue;
-    auto records = lane->recorder->records(lane_filter);
+    auto records = lane->recorder->records(filter);
     merged.insert(merged.end(),
                   std::make_move_iterator(records.begin()),
                   std::make_move_iterator(records.end()));
   }
+  // One timeline across lanes: finalized records by end slot, then active
+  // ones by arrival slot. Each lane's list is already in that order and the
+  // lanes were appended in index order, so the stable sort breaks ties by
+  // lane and keeps each lane's own order.
+  const auto timeline = [](const SessionRecord& record) {
+    const bool active =
+        record.state == support::telemetry::SessionState::kActive;
+    return std::pair(active, active ? record.arrival_slot : record.end_slot);
+  };
+  std::stable_sort(merged.begin(), merged.end(),
+                   [&timeline](const SessionRecord& a, const SessionRecord& b) {
+                     return timeline(a) < timeline(b);
+                   });
   if (filter.limit > 0 && merged.size() > filter.limit) {
     merged.erase(merged.begin(),
                  merged.begin() + static_cast<std::ptrdiff_t>(

@@ -69,7 +69,7 @@ struct ShardedSessionServiceConfig {
   /// one recorder shared across worker threads would interleave seq
   /// assignment nondeterministically). Queried back through
   /// session_records() / find_session_record() / session_record_stats(),
-  /// which merge lanes in index order so results are bit-identical across
+  /// which merge lanes in a fixed order so results are bit-identical across
   /// shard counts.
   bool record_sessions = false;
   /// Per-lane record retention (SessionRecorderOptions::capacity).
@@ -178,9 +178,11 @@ class ShardedSessionService {
   // Flight-recorder queries (empty / no-ops unless record_sessions). Safe
   // while lanes run — each recorder takes its own short lock.
 
-  /// Records matching `filter`, merged lane by lane in index order (so the
-  /// result is deterministic across shard counts). filter.limit keeps the
-  /// last n of the merged list.
+  /// Records matching `filter`, merged into one timeline: finalized records
+  /// by end slot, then active ones by arrival slot, ties broken by lane
+  /// index (each lane keeps its own order), so the result is deterministic
+  /// across shard counts. filter.limit keeps the last n of that timeline;
+  /// each lane copies at most n.
   std::vector<support::telemetry::SessionRecord> session_records(
       const support::telemetry::SessionFilter& filter = {}) const;
 

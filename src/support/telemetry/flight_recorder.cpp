@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <iterator>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -247,25 +246,30 @@ bool matches(const SessionRecord& record, const SessionFilter& filter) {
 std::vector<SessionRecord> SessionRecorder::records(
     const SessionFilter& filter) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SessionRecord> out;
-  for (const SessionRecord& record : ring_) {
-    if (matches(record, filter)) out.push_back(record);
-  }
-  std::vector<SessionRecord> active;
+  // Walk from the newest end (open records by descending seq, then the
+  // ring backwards) and copy at most `limit` matches, so a tail query
+  // copies only what it returns.
+  std::vector<const SessionRecord*> active;
   for (const SessionRecord& record : open_) {
-    if (matches(record, filter)) active.push_back(record);
+    if (matches(record, filter)) active.push_back(&record);
   }
   std::sort(active.begin(), active.end(),
-            [](const SessionRecord& a, const SessionRecord& b) {
-              return a.seq < b.seq;
+            [](const SessionRecord* a, const SessionRecord* b) {
+              return a->seq < b->seq;
             });
-  out.insert(out.end(), std::make_move_iterator(active.begin()),
-             std::make_move_iterator(active.end()));
-  if (filter.limit > 0 && out.size() > filter.limit) {
-    out.erase(out.begin(),
-              out.begin() + static_cast<std::ptrdiff_t>(out.size() -
-                                                        filter.limit));
+  const std::size_t limit = filter.limit > 0
+                                ? filter.limit
+                                : std::numeric_limits<std::size_t>::max();
+  std::vector<SessionRecord> out;
+  for (auto it = active.rbegin(); it != active.rend() && out.size() < limit;
+       ++it) {
+    out.push_back(**it);
   }
+  for (auto it = ring_.rbegin(); it != ring_.rend() && out.size() < limit;
+       ++it) {
+    if (matches(*it, filter)) out.push_back(*it);
+  }
+  std::reverse(out.begin(), out.end());
   return out;
 }
 

@@ -191,7 +191,8 @@ class SessionRecorder {
   void finalize_open(std::uint64_t end_slot);
 
   /// Retained records matching `filter`: finalized ones oldest-first, then
-  /// the still-open (kActive) ones in seq order.
+  /// the still-open (kActive) ones in seq order. With filter.limit = n only
+  /// the last n are copied out (the walk starts at the newest end).
   std::vector<SessionRecord> records(const SessionFilter& filter = {}) const;
 
   /// A record by id, searching open records and the retained ring.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "experiment/scenario.hpp"
@@ -326,6 +329,95 @@ TEST(ShardedSessionService, SessionRecordsBitIdenticalAcrossShardCounts) {
     // determinism contract (SessionRecord has a defaulted operator==).
     EXPECT_EQ(records, reference);
     expect_recorder_stats_identical(stats, reference_stats);
+  }
+}
+
+/// Position of a record on the merged session timeline: finalized records
+/// by end slot, then active ones by arrival slot.
+std::pair<bool, std::uint64_t> timeline_key(const SessionRecord& record) {
+  const bool active = record.state == SessionState::kActive;
+  return {active, active ? record.arrival_slot : record.end_slot};
+}
+
+/// Oracle for session_records(filter): merges the lanes' unlimited lists
+/// head by head (earliest timeline key first, ties to the lower lane, each
+/// lane's order kept), then keeps the last filter.limit.
+std::vector<SessionRecord> merged_tail_oracle(
+    const ShardedSessionService& service, std::size_t lanes,
+    SessionFilter filter) {
+  const std::size_t limit = filter.limit;
+  filter.limit = 0;
+  std::vector<std::vector<SessionRecord>> per_lane;
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    filter.lane = static_cast<std::uint32_t>(lane);
+    per_lane.push_back(service.session_records(filter));
+  }
+  std::vector<std::size_t> head(lanes, 0);
+  std::vector<SessionRecord> merged;
+  for (;;) {
+    std::size_t best = lanes;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      if (head[lane] == per_lane[lane].size()) continue;
+      if (best == lanes ||
+          timeline_key(per_lane[lane][head[lane]]) <
+              timeline_key(per_lane[best][head[best]])) {
+        best = lane;
+      }
+    }
+    if (best == lanes) break;
+    merged.push_back(per_lane[best][head[best]++]);
+  }
+  if (limit > 0 && merged.size() > limit) {
+    merged.erase(merged.begin(),
+                 merged.end() - static_cast<std::ptrdiff_t>(limit));
+  }
+  return merged;
+}
+
+TEST(ShardedSessionService, LimitedQueryMatchesTheOracleMergeOfLaneTails) {
+  // 48 qubits per switch leave an 8-lane slice 6 each, so every lane count
+  // below admits sessions and still holds active ones at the end.
+  experiment::Scenario scenario;
+  scenario.switch_count = 30;
+  scenario.user_count = 8;
+  scenario.qubits_per_switch = 48;
+  scenario.attenuation = 2e-4;  // slow trees, so sessions stay active
+  scenario.seed = 11;
+  const auto net = experiment::instantiate(scenario, 0).network;
+  for (const std::size_t lanes : {1u, 2u, 8u}) {
+    ShardedSessionServiceConfig config = recording_config(lanes, 2);
+    // A small ring, so lanes evict and the per-lane tails really are cut.
+    config.recorder_capacity = 48;
+    ShardedSessionService service(net, config, /*seed=*/29);
+    play(service, 500);
+    ASSERT_GT(service.active_sessions(), 0u) << lanes << " lanes";
+    SessionFilter active;
+    active.state = SessionState::kActive;
+    SessionFilter rejected;
+    rejected.state = SessionState::kRejected;
+    SessionFilter late;
+    late.min_slot = 250;
+    for (SessionFilter filter : {SessionFilter{}, active, rejected, late}) {
+      for (const std::size_t limit : {0u, 1u, 7u, 20u, 100u, 5000u}) {
+        filter.limit = limit;
+        const std::vector<SessionRecord> got = service.session_records(filter);
+        EXPECT_EQ(got, merged_tail_oracle(service, lanes, filter))
+            << lanes << " lanes, limit " << limit;
+        for (std::size_t i = 1; i < got.size(); ++i) {
+          EXPECT_LE(timeline_key(got[i - 1]), timeline_key(got[i]));
+        }
+      }
+    }
+    // The newest records come from every lane, not only the highest ones.
+    if (lanes == 8) {
+      SessionFilter newest;
+      newest.limit = 20;
+      std::vector<bool> seen(lanes, false);
+      for (const SessionRecord& record : service.session_records(newest)) {
+        seen[record.lane] = true;
+      }
+      EXPECT_GT(std::count(seen.begin(), seen.end(), true), 1);
+    }
   }
 }
 

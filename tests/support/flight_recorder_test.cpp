@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "support/json.hpp"
+#include "support/rng.hpp"
 
 namespace muerp::support::telemetry {
 namespace {
@@ -257,6 +259,58 @@ TEST(FlightRecorder, FiltersByStateLaneSlotRangeAndLimit) {
   SessionFilter by_algorithm;
   by_algorithm.algorithm = "no-such";
   EXPECT_TRUE(recorder.records(by_algorithm).empty());
+}
+
+TEST(FlightRecorder, LimitedQueryIsTheTailOfTheUnlimitedOne) {
+  // A recorder with every record shape: open ones (closed out of seq
+  // order), rejections, completions that sampling drops, timeouts, and a
+  // ring small enough to evict. For random filters, a limited query must
+  // copy exactly the last n records of the unlimited one.
+  Rng rng(2024);
+  SessionRecorderOptions options;
+  options.lane = 3;
+  options.capacity = 40;
+  options.happy_keep_per_1024 = 512;
+  SessionRecorder recorder(options);
+  std::vector<std::uint64_t> open_ids;
+  for (std::uint64_t slot = 1; slot <= 200; ++slot) {
+    SessionRecord record = draft(slot);
+    record.algorithm = rng.bernoulli(0.5) ? "prim-shared" : "alg3";
+    if (rng.bernoulli(0.3)) {
+      recorder.reject(std::move(record));
+    } else {
+      open_ids.push_back(recorder.open(std::move(record)));
+    }
+    if (!open_ids.empty() && rng.bernoulli(0.6)) {
+      const std::size_t pick = rng.uniform_index(open_ids.size());
+      recorder.close(open_ids[pick],
+                     rng.bernoulli(0.7) ? SessionState::kCompleted
+                                        : SessionState::kTimedOut,
+                     slot, 1 + rng.uniform_index(8));
+      open_ids.erase(open_ids.begin() + static_cast<std::ptrdiff_t>(pick));
+    }
+  }
+  ASSERT_GT(open_ids.size(), 2u);
+  ASSERT_EQ(recorder.records().size(), options.capacity + open_ids.size());
+
+  for (int trial = 0; trial < 200; ++trial) {
+    SessionFilter filter;
+    if (rng.bernoulli(0.4)) {
+      filter.state = static_cast<SessionState>(rng.uniform_index(4));
+    }
+    if (rng.bernoulli(0.2)) filter.lane = rng.bernoulli(0.5) ? 3 : 4;
+    if (rng.bernoulli(0.3)) filter.algorithm = "alg3";
+    if (rng.bernoulli(0.3)) filter.min_slot = rng.uniform_index(200);
+    if (rng.bernoulli(0.3)) filter.max_slot = rng.uniform_index(200);
+    const std::vector<SessionRecord> all = recorder.records(filter);
+    filter.limit = 1 + rng.uniform_index(all.size() + 5);
+    const std::vector<SessionRecord> limited = recorder.records(filter);
+    const std::size_t n = std::min(filter.limit, all.size());
+    const std::vector<SessionRecord> tail(
+        all.end() - static_cast<std::ptrdiff_t>(n), all.end());
+    EXPECT_EQ(limited, tail) << "trial " << trial << " limit "
+                             << filter.limit;
+  }
 }
 
 TEST(FlightRecorder, FinalizeOpenDrainsInSeqOrder) {

@@ -12,11 +12,13 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ctl/client.hpp"
@@ -903,6 +905,108 @@ TEST(MuerpdSmoke, SamplerSurvivesRetuneWhilePaused) {
   ctl(port, "drain");
   const int status = wait_exit(daemon.pid, 10000);
   ASSERT_NE(status, -1) << "daemon did not exit after ctl drain";
+  std::fclose(daemon.out);
+}
+
+TEST(MuerpdSmoke, CtlVerbsReadTheirOwnWritesFromTheSnapshot) {
+  // Slow trees (swap 0.05) and a long timeout keep sessions in flight for
+  // seconds, so the daemon is still draining when the last status lands.
+  DaemonProcess daemon = spawn_muerpd(
+      {"--port", "0", "--slots", "0", "--slot-ms", "5", "--arrival", "0.9",
+       "--swap", "0.05", "--seed", "31", "--timeout", "400"});
+  ASSERT_GT(daemon.pid, 0);
+  const std::uint16_t port = read_serving_port(daemon.out);
+  ASSERT_NE(port, 0);
+  const auto status = [port] { return ctl(port, "status"); };
+  auto doc = status();
+  for (int tries = 0; tries < 150 && doc.ok() &&
+                      doc.value["result"]["active_sessions"].number_value == 0;
+       ++tries) {
+    ::usleep(20 * 1000);
+    doc = status();
+  }
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  ASSERT_GT(doc.value["result"]["active_sessions"].number_value, 0.0);
+  EXPECT_TRUE(doc.value["result"]["arrivals_enabled"].bool_value);
+
+  // pause: the very next status sees it, and while the loop holds still
+  // the status counters are /healthz's fields.
+  ASSERT_TRUE(ctl(port, "pause").value["ok"].bool_value);
+  doc = status();
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  const auto& result = doc.value["result"];
+  EXPECT_EQ(result["state"].string_value, "paused");
+  const auto health =
+      muerp::support::json::parse(body_of(http_get(port, "/healthz")));
+  ASSERT_TRUE(health.ok()) << health.error;
+  EXPECT_EQ(health.value["state"].string_value, "paused");
+  for (const auto& [status_field, health_field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"slot", "slot"},
+           {"active_sessions", "active_sessions"},
+           {"arrived", "sessions_arrived"},
+           {"admitted", "sessions_admitted"},
+           {"completed", "sessions_completed"}}) {
+    EXPECT_EQ(result[status_field].number_value,
+              health.value[health_field].number_value)
+        << status_field;
+  }
+  EXPECT_EQ(result["arrived"].number_value,
+            result["admitted"].number_value + result["rejected"].number_value);
+
+  // set then get: the reply to get carries the value set just before.
+  doc = ctl(port, "set", R"({"name": "arrival-burst", "value": 3})");
+  ASSERT_TRUE(doc.value["ok"].bool_value) << doc.value["error"].string_value;
+  doc = ctl(port, "get", R"({"name": "arrival-burst"})");
+  EXPECT_DOUBLE_EQ(doc.value["result"].number_value, 3.0);
+
+  ASSERT_TRUE(ctl(port, "resume").value["ok"].bool_value);
+  EXPECT_EQ(status().value["result"]["state"].string_value, "running");
+
+  // drain: arrivals stop and the state flips before the next tick ends.
+  doc = ctl(port, "drain");
+  ASSERT_TRUE(doc.value["ok"].bool_value);
+  doc = status();
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  EXPECT_EQ(doc.value["result"]["state"].string_value, "draining");
+  EXPECT_FALSE(doc.value["result"]["arrivals_enabled"].bool_value);
+  EXPECT_TRUE(doc.value["result"]["arrivals_enabled"].is_bool());
+
+  const int exit_status = wait_exit(daemon.pid, 20000);
+  ASSERT_NE(exit_status, -1) << "daemon did not exit after ctl drain";
+  EXPECT_TRUE(WIFEXITED(exit_status));
+  std::fclose(daemon.out);
+}
+
+TEST(MuerpdSmoke, CtlVerbsAnswerWhileATickIsInFlight) {
+  // Unpaced with a huge --tick-batch: the first tick plays millions of
+  // slots, seconds of work. A status that waited for the tick boundary
+  // would wait that long; one served from the snapshot answers at once,
+  // and still reports the boot snapshot's slot 0.
+  DaemonProcess daemon = spawn_muerpd(
+      {"--port", "0", "--slots", "0", "--slot-ms", "0", "--tick-batch",
+       "5000000", "--arrival", "0.9", "--seed", "37"});
+  ASSERT_GT(daemon.pid, 0);
+  const std::uint16_t port = read_serving_port(daemon.out);
+  ASSERT_NE(port, 0);
+  ::usleep(200 * 1000);  // the first tick is under way
+
+  const auto start = std::chrono::steady_clock::now();
+  auto doc = ctl(port, "status");
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  EXPECT_TRUE(doc.value["ok"].bool_value);
+  EXPECT_EQ(doc.value["result"]["state"].string_value, "running");
+  EXPECT_EQ(doc.value["result"]["slot"].number_value, 0.0);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(2000));
+  doc = ctl(port, "get", R"({"name": "arrival-rate"})");
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  EXPECT_DOUBLE_EQ(doc.value["result"].number_value, 0.9);
+
+  // The loop only sees signals between ticks; SIGKILL ends it now.
+  ::kill(daemon.pid, SIGKILL);
+  int exit_status = 0;
+  ::waitpid(daemon.pid, &exit_status, 0);
   std::fclose(daemon.out);
 }
 

@@ -22,7 +22,9 @@
 //     regressions sneak past ratio checks.
 //
 // Wall-clock columns (and per-span self/total ms) are printed in the diff
-// tables for the reviewer but never gate.
+// tables for reading but never gate. Each document's "host" stamp
+// (core count, build type, compiler) is printed too, with a warning, never
+// a failure, when baseline and current were measured on different hosts.
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -126,6 +128,30 @@ bool rates_identical(const Value& base, const Value& cur) {
   return true;
 }
 
+/// A document's "host" stamp on one line ("(no host stamp)" if absent).
+std::string host_line(const Value& doc) {
+  const Value* host = doc.find("host");
+  if (host == nullptr || !host->is_object()) return "(no host stamp)";
+  return "nproc " +
+         std::to_string(static_cast<long long>((*host)["nproc"].number_value)) +
+         ", " + (*host)["build_type"].string_value + ", " +
+         (*host)["compiler"].string_value;
+}
+
+/// Prints both stamps; warns (never fails) when they differ.
+void compare_hosts(const std::string& what, const Value& baseline,
+                   const Value& current) {
+  const std::string base = host_line(baseline);
+  const std::string cur = host_line(current);
+  std::cout << what << " host: baseline " << base << "; current " << cur
+            << '\n';
+  if (base != cur) {
+    std::cerr << "WARN " << what
+              << ": baseline and current hosts differ; ratios may not "
+                 "compare like with like\n";
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,6 +193,7 @@ int main(int argc, char** argv) {
   Gate gate;
   gate.tolerance = cli.get_double("tolerance").value_or(0.15);
   const bool allow_rate_drift = cli.get_bool("allow-rate-drift");
+  compare_hosts("routing", baseline.value, current.value);
 
   // Per-algorithm: speedup ratio, identical flag, rate bit-identity, and
   // the cached-run work counters.
@@ -288,6 +315,7 @@ int main(int argc, char** argv) {
       return fail(batch_current_path + ": " + batch_current.error);
     }
 
+    compare_hosts("batch", batch_baseline.value, batch_current.value);
     muerp::support::Table batch_table(
         "batch kernel vs sequential reference",
         {"policy", "base speedup", "cur speedup", "base groups/s",

@@ -76,9 +76,10 @@
 // slow routing pass put it behind the grid, catches up by playing the
 // backlog as one batch (at most --tick-batch slots per wake). While paused
 // the loop keeps advancing the deadline grid without playing slots, so
-// resuming never triggers a catch-up burst. /healthz reads a published
-// atomic snapshot (including the running/paused/draining state), so
-// scrapes never wait for a routing pass.
+// resuming never triggers a catch-up burst. /healthz, `ctl status` and
+// `ctl get` read one snapshot that the loop thread publishes after every
+// tick and after every control mutation (including the
+// running/paused/draining state), so reads never wait for a routing pass.
 //
 // The first signal shuts down gracefully: arrivals stop and in-flight
 // sessions drain (completed or timed out, unpaced) before the final
@@ -278,14 +279,52 @@ bool valid_sample_interval_ms(double ms) {
 constexpr char kSampleIntervalRange[] = "must be in [1, 3600000]";
 
 /// One row of the daemon's settings table: what `ctl set`/`ctl get`
-/// dispatch on. Accessors run on the loop thread (inside a mailbox
-/// action), so they may touch the session service freely.
+/// dispatch on. Accessors run on the loop thread (inside a mailbox action
+/// or a snapshot publish), so they may touch the session service freely.
 struct Setting {
   std::string name;
   std::string summary;
   std::function<std::string()> get;  // current value as a JSON document
   /// Applies a validated-by-type value; null marks a read-only row.
   std::function<ctl::CommandResult(const support::json::Value&)> set;
+};
+
+/// Everything the acceptor thread reports about the slot loop: /healthz,
+/// `ctl status`, `ctl get` and the network pages' slot label render from
+/// this, never from the live service.
+struct ReadSnapshot {
+  RunState state = RunState::kRunning;
+  std::uint64_t slot = 0;
+  std::uint64_t active = 0;
+  std::uint64_t arrived = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t timed_out = 0;
+  std::uint64_t rejected = 0;
+  bool arrivals_enabled = true;
+  std::string algorithm;
+  /// Rendered value of each settings-table row, by row index; empty for
+  /// read-only rows, which are not published.
+  std::vector<std::string> settings;
+};
+
+/// The loop thread publishes whole ReadSnapshots; the acceptor thread
+/// copies one out. The mutex is held only for the copy, so a read never
+/// waits out a routing pass and never sees half of a tick.
+class PublishedSnapshot {
+ public:
+  void publish(ReadSnapshot next) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    value_ = std::move(next);
+  }
+  ReadSnapshot read() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return value_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  ReadSnapshot value_;
 };
 
 }  // namespace
@@ -576,65 +615,31 @@ int main(int argc, char** argv) {
     alerts_firing.store(alerts.firing(), std::memory_order_relaxed);
   });
 
-  // Lifecycle state, written by mailbox actions on the loop thread, read by
-  // the acceptor thread for /healthz and by the loop condition.
-  std::atomic<RunState> run_state{RunState::kRunning};
+  // Lifecycle state: written by mailbox actions and read by the loop
+  // condition, all on the loop thread. The acceptor thread sees it through
+  // the published snapshot.
+  RunState run_state = RunState::kRunning;
   std::uint64_t drain_started_slot = 0;  // loop thread only
 
-  // /healthz reads a published snapshot, not the live service: the main
-  // loop stores these atomics after every tick, the acceptor thread loads
-  // them — a scrape never waits out a routing pass (the seed held a mutex
-  // across the whole service.step() here).
-  struct HealthSnapshot {
-    std::atomic<std::uint64_t> slot{0};
-    std::atomic<std::uint64_t> active{0};
-    std::atomic<std::uint64_t> arrived{0};
-    std::atomic<std::uint64_t> admitted{0};
-    std::atomic<std::uint64_t> completed{0};
-    // Runtime-mutable (`ctl set algorithm`), so not a plain string: the
-    // acceptor thread reads it while the loop thread republishes.
-    std::mutex algorithm_mutex;
-    std::string algorithm;
-  };
-  HealthSnapshot health;
-  const auto publish_health = [&service, &health] {
-    const sim::ProtocolMetrics m = service.metrics();
-    {
-      const std::lock_guard<std::mutex> lock(health.algorithm_mutex);
-      health.algorithm =
-          service.algorithm().empty() ? "shared-prim" : service.algorithm();
-    }
-    health.slot.store(service.slot(), std::memory_order_relaxed);
-    health.active.store(service.active_sessions(), std::memory_order_relaxed);
-    health.arrived.store(m.sessions_arrived, std::memory_order_relaxed);
-    health.admitted.store(m.sessions_admitted, std::memory_order_relaxed);
-    health.completed.store(m.sessions_completed, std::memory_order_relaxed);
-  };
-  // The algorithm label is mutable at runtime (`ctl set algorithm`), so the
-  // health appender reads the service via the snapshot; the label only
-  // names the per-algorithm instrument families, which keep their
-  // boot-time name (a counter cannot be renamed mid-flight).
+  // The read snapshot (see publish_health below). The algorithm label only
+  // names the per-algorithm instrument families, which keep their boot-time
+  // name (a counter cannot be renamed mid-flight); the live router name is
+  // in the snapshot.
+  PublishedSnapshot snapshot;
   const std::string algorithm_label =
       config.algorithm.empty() ? "shared-prim" : config.algorithm;
-  exporter.set_health_fields([&health, &run_state, &alerts_firing, lanes,
+  exporter.set_health_fields([&snapshot, &alerts_firing, lanes,
                               shards](std::string& body) {
+    const ReadSnapshot read = snapshot.read();
     body += ", \"state\": \"";
-    body += run_state_name(run_state.load(std::memory_order_relaxed));
+    body += run_state_name(read.state);
     body += "\"";
-    {
-      const std::lock_guard<std::mutex> lock(health.algorithm_mutex);
-      body += ", \"algorithm\": \"" + health.algorithm + "\"";
-    }
-    body += ", \"slot\": " +
-            std::to_string(health.slot.load(std::memory_order_relaxed));
-    body += ", \"active_sessions\": " +
-            std::to_string(health.active.load(std::memory_order_relaxed));
-    body += ", \"sessions_arrived\": " +
-            std::to_string(health.arrived.load(std::memory_order_relaxed));
-    body += ", \"sessions_admitted\": " +
-            std::to_string(health.admitted.load(std::memory_order_relaxed));
-    body += ", \"sessions_completed\": " +
-            std::to_string(health.completed.load(std::memory_order_relaxed));
+    body += ", \"algorithm\": \"" + read.algorithm + "\"";
+    body += ", \"slot\": " + std::to_string(read.slot);
+    body += ", \"active_sessions\": " + std::to_string(read.active);
+    body += ", \"sessions_arrived\": " + std::to_string(read.arrived);
+    body += ", \"sessions_admitted\": " + std::to_string(read.admitted);
+    body += ", \"sessions_completed\": " + std::to_string(read.completed);
     body += ", \"lanes\": " + std::to_string(lanes);
     body += ", \"shards\": " + std::to_string(shards);
     body += ", \"alerts_firing\": " +
@@ -692,8 +697,10 @@ int main(int argc, char** argv) {
   mailbox.set_wake([&scheduler] { scheduler.kick(); });
 
   // Refuse mutations while draining — the daemon is committed to exiting.
-  const auto draining_guard = [&run_state]() -> std::optional<ctl::CommandResult> {
-    if (run_state.load(std::memory_order_relaxed) == RunState::kDraining) {
+  // The drain action republishes before its reply, so the published state
+  // is current for every request that follows it.
+  const auto draining_guard = [&snapshot]() -> std::optional<ctl::CommandResult> {
+    if (snapshot.read().state == RunState::kDraining) {
       return ctl::CommandResult::failure(ctl::kErrDraining,
                                          "daemon is draining");
     }
@@ -701,7 +708,9 @@ int main(int argc, char** argv) {
   };
 
   // The settings table `ctl set` / `ctl get` dispatch on. Accessors run on
-  // the loop thread inside mailbox actions.
+  // the loop thread: setters inside mailbox actions, getters of mutable rows
+  // in publish_health, and the read-only `lifetime` getter inside `get`'s
+  // mailbox action.
   std::vector<Setting> settings;
   settings.push_back(
       {"arrival-rate", "session arrival probability per slot",
@@ -834,7 +843,9 @@ int main(int argc, char** argv) {
        }});
   settings.push_back(
       {"lifetime",
-       "totals across every run recorded in the --history file (read-only)",
+       "totals across every run recorded in the --history file (read-only; "
+       "the one read that waits for the next tick boundary, where the loop "
+       "flushes the history file)",
        [&history, &flush_history] {
          if (!history.is_open()) return std::string("null");
          flush_history(true);
@@ -867,6 +878,41 @@ int main(int argc, char** argv) {
                 "unknown setting '" + name + "' (known: " + known + ")")};
   };
 
+  // One read snapshot, published by the loop thread after every tick, on
+  // the paused path, at boot and inside every mutation before its reply
+  // returns (read-your-writes). Read-only settings rows are not rendered:
+  // `lifetime` forces a history flush.
+  const auto publish_health = [&] {
+    const sim::ProtocolMetrics m = service.metrics();
+    ReadSnapshot next;
+    next.state = run_state;
+    next.slot = service.slot();
+    next.active = service.active_sessions();
+    next.arrived = m.sessions_arrived;
+    next.admitted = m.sessions_admitted;
+    next.completed = m.sessions_completed;
+    next.timed_out = m.sessions_timed_out;
+    next.rejected = m.sessions_rejected;
+    next.arrivals_enabled = service.arrivals_enabled();
+    next.algorithm =
+        service.algorithm().empty() ? "shared-prim" : service.algorithm();
+    next.settings.reserve(settings.size());
+    for (const Setting& setting : settings) {
+      next.settings.push_back(setting.set ? setting.get() : std::string());
+    }
+    snapshot.publish(std::move(next));
+  };
+  // Mutations ride the mailbox to the loop thread and apply at the tick
+  // boundary; the snapshot is republished before the reply returns.
+  const auto mutate = [&mailbox, &publish_health](
+                          std::function<ctl::CommandResult()> action) {
+    return mailbox.submit([action = std::move(action), &publish_health] {
+      ctl::CommandResult result = action();
+      publish_health();
+      return result;
+    });
+  };
+
   ctl::CommandRegistry registry;
   registry.add(
       {"set",
@@ -886,17 +932,22 @@ int main(int argc, char** argv) {
          // runs after this handler's request document is gone.
          const support::json::Value value = args["value"];
          if (auto refused = draining_guard()) return *refused;
-         return mailbox.submit(
-             [setting, value] { return setting->set(value); });
+         return mutate([setting, value] { return setting->set(value); });
        }});
   registry.add(
       {"get",
-       "read a runtime setting (loop-thread-consistent snapshot)",
+       "read a runtime setting (from the tick snapshot; `lifetime` waits for "
+       "the next tick boundary)",
        {{"name", ctl::ArgType::kString, true, "setting to read"}},
        [&](const support::json::Value& args) {
          const auto [setting, lookup_error] =
              find_setting(args["name"].string_value);
          if (setting == nullptr) return lookup_error;
+         if (setting->set) {
+           const std::size_t row =
+               static_cast<std::size_t>(setting - settings.data());
+           return ctl::CommandResult::success(snapshot.read().settings[row]);
+         }
          if (setting->name == "lifetime" && !history.is_open()) {
            return ctl::CommandResult::failure(
                ctl::kErrUnsupported,
@@ -908,27 +959,23 @@ int main(int argc, char** argv) {
        }});
   registry.add(
       {"status",
-       "lifecycle state plus the live session counters",
+       "lifecycle state plus the session counters (from the tick snapshot)",
        {},
-       [&](const support::json::Value&) {
-         return mailbox.submit([&] {
-           const sim::ProtocolMetrics m = service.metrics();
-           std::string out = "{\"state\": ";
-           out += ctl::json_quote(
-               run_state_name(run_state.load(std::memory_order_relaxed)));
-           out += ", \"slot\": " + std::to_string(service.slot());
-           out += ", \"active_sessions\": " +
-                  std::to_string(service.active_sessions());
-           out += ", \"arrived\": " + std::to_string(m.sessions_arrived);
-           out += ", \"admitted\": " + std::to_string(m.sessions_admitted);
-           out += ", \"completed\": " + std::to_string(m.sessions_completed);
-           out += ", \"timed_out\": " + std::to_string(m.sessions_timed_out);
-           out += ", \"rejected\": " + std::to_string(m.sessions_rejected);
-           out += ", \"arrivals_enabled\": ";
-           out += service.arrivals_enabled() ? "true" : "false";
-           out += "}";
-           return ctl::CommandResult::success(out);
-         });
+       [&snapshot](const support::json::Value&) {
+         const ReadSnapshot read = snapshot.read();
+         std::string out = "{\"state\": ";
+         out += ctl::json_quote(run_state_name(read.state));
+         out += ", \"slot\": " + std::to_string(read.slot);
+         out += ", \"active_sessions\": " + std::to_string(read.active);
+         out += ", \"arrived\": " + std::to_string(read.arrived);
+         out += ", \"admitted\": " + std::to_string(read.admitted);
+         out += ", \"completed\": " + std::to_string(read.completed);
+         out += ", \"timed_out\": " + std::to_string(read.timed_out);
+         out += ", \"rejected\": " + std::to_string(read.rejected);
+         out += ", \"arrivals_enabled\": ";
+         out += read.arrivals_enabled ? "true" : "false";
+         out += "}";
+         return ctl::CommandResult::success(out);
        }});
   registry.add(
       {"pause",
@@ -937,8 +984,8 @@ int main(int argc, char** argv) {
        {},
        [&](const support::json::Value&) {
          if (auto refused = draining_guard()) return *refused;
-         return mailbox.submit([&run_state] {
-           run_state.store(RunState::kPaused, std::memory_order_relaxed);
+         return mutate([&run_state] {
+           run_state = RunState::kPaused;
            return ctl::CommandResult::success("{\"state\": \"paused\"}");
          });
        }});
@@ -948,8 +995,8 @@ int main(int argc, char** argv) {
        {},
        [&](const support::json::Value&) {
          if (auto refused = draining_guard()) return *refused;
-         return mailbox.submit([&run_state] {
-           run_state.store(RunState::kRunning, std::memory_order_relaxed);
+         return mutate([&run_state] {
+           run_state = RunState::kRunning;
            return ctl::CommandResult::success("{\"state\": \"running\"}");
          });
        }});
@@ -959,10 +1006,10 @@ int main(int argc, char** argv) {
        {},
        [&](const support::json::Value&) {
          if (auto refused = draining_guard()) return *refused;
-         return mailbox.submit([&] {
+         return mutate([&] {
            service.set_arrivals_enabled(false);
            drain_started_slot = service.slot();
-           run_state.store(RunState::kDraining, std::memory_order_relaxed);
+           run_state = RunState::kDraining;
            return ctl::CommandResult::success(
                "{\"state\": \"draining\", \"active_sessions\": " +
                std::to_string(service.active_sessions()) + "}");
@@ -1039,7 +1086,9 @@ int main(int argc, char** argv) {
         {"min-slot", ctl::ArgType::kInt, false, "arrival slot >= this"},
         {"max-slot", ctl::ArgType::kInt, false, "arrival slot <= this"},
         {"limit", ctl::ArgType::kInt, false,
-         "keep only the last n matches (default 100; 0 = all)"}},
+         "keep the n most recent matches across all lanes: finalized "
+         "records by end slot, then active ones by arrival slot (default "
+         "100; 0 = all)"}},
        [&service, session_filter_of](const support::json::Value& args) {
          support::telemetry::SessionFilter filter;
          if (const auto parsed = session_filter_of(args, &filter); !parsed.ok) {
@@ -1087,10 +1136,9 @@ int main(int argc, char** argv) {
       {"topology",
        "the served network joined with live per-link occupancy",
        {},
-       [&service, &network, &health](const support::json::Value&) {
+       [&service, &network, &snapshot](const support::json::Value&) {
          return ctl::CommandResult::success(topology_json(
-             *network, service.link_stats(),
-             health.slot.load(std::memory_order_relaxed)));
+             *network, service.link_stats(), snapshot.read().slot));
        }});
   registry.add(
       {"links",
@@ -1098,7 +1146,7 @@ int main(int argc, char** argv) {
        {{"sort", ctl::ArgType::kString, false, "util (default) or losses"},
         {"limit", ctl::ArgType::kInt, false,
          "keep only the top n links (0 = all)"}},
-       [&service, &health](const support::json::Value& args) {
+       [&service, &snapshot](const support::json::Value& args) {
          namespace tel = support::telemetry;
          tel::LinkSort sort = tel::LinkSort::kUtil;
          if (const auto* v = args.find("sort")) {
@@ -1114,8 +1162,8 @@ int main(int argc, char** argv) {
          }
          auto stats = service.link_stats();
          tel::sort_links(stats, sort, limit.value_or(0));
-         return ctl::CommandResult::success(tel::links_json(
-             stats, health.slot.load(std::memory_order_relaxed)));
+         return ctl::CommandResult::success(
+             tel::links_json(stats, snapshot.read().slot));
        }});
   registry.add(
       {"explain",
@@ -1313,15 +1361,15 @@ int main(int argc, char** argv) {
       });
   // Network-plane pages. link_stats() snapshots each lane ledger under its
   // own short lock and never mutates windowed state, so these serve while
-  // the lanes run; the slot label comes from the published health snapshot
+  // the lanes run; the slot label comes from the published read snapshot
   // (the live service slot is loop-thread state).
   exporter.add_route(
       "GET", "/api/v1/topology",
-      [&service, &network, &health](const support::telemetry::HttpRequest&) {
+      [&service, &network, &snapshot](const support::telemetry::HttpRequest&) {
         return support::telemetry::HttpExporter::response(
             200, "application/json",
             topology_json(*network, service.link_stats(),
-                          health.slot.load(std::memory_order_relaxed)));
+                          snapshot.read().slot));
       });
   exporter.add_route("GET", "/api/v1/links", serve_verb("links"));
   exporter.add_prefix_route(
@@ -1350,7 +1398,7 @@ int main(int argc, char** argv) {
       });
   exporter.add_route(
       "GET", "/api/v1/topology.svg",
-      [&service, &network, &health](const support::telemetry::HttpRequest&) {
+      [&service, &network, &snapshot](const support::telemetry::HttpRequest&) {
         namespace tel = support::telemetry;
         const auto stats = service.link_stats();
         std::vector<double> utilization(network->graph().edges().size(), 0.0);
@@ -1364,18 +1412,18 @@ int main(int argc, char** argv) {
         svg_options.edge_utilization = &utilization;
         svg_options.title =
             "muerpd link utilization, slot " +
-            std::to_string(health.slot.load(std::memory_order_relaxed));
+            std::to_string(snapshot.read().slot);
         return tel::HttpExporter::response(
             200, "image/svg+xml", net::to_svg(*network, nullptr, svg_options));
       });
 
+  publish_health();  // slot-0 snapshot, so the first scrape sees real fields
   std::string error;
   if (!exporter.start(&error)) {
     return fail("cannot serve on " + http.bind_address + ":" +
                 std::to_string(http.port) + ": " + error);
   }
   sampler.start();
-  publish_health();  // slot-0 snapshot, so early scrapes see real fields
   std::cout << "muerpd: serving on " << http.bind_address << ":"
             << exporter.port() << std::endl;
   MUERP_LOG_INFO("muerpd/start", support::telemetry::field(
@@ -1443,7 +1491,7 @@ int main(int argc, char** argv) {
   const std::uint64_t drain_cap = config.params.session_timeout_slots + 1;
   while (g_stop == 0 && (max_slots == 0 || service.slot() < max_slots)) {
     mailbox.drain();  // tick boundary: apply queued control commands
-    const RunState state = run_state.load(std::memory_order_relaxed);
+    const RunState state = run_state;
     if (state == RunState::kPaused) {
       publish_health();
       if (pace.period == std::chrono::nanoseconds::zero()) {
@@ -1454,7 +1502,7 @@ int main(int argc, char** argv) {
       }
       const std::uint64_t due = scheduler.acquire();
       mailbox.drain();  // a resume may be what woke the wait
-      if (run_state.load(std::memory_order_relaxed) == RunState::kPaused &&
+      if (run_state == RunState::kPaused &&
           due > 0) {
         scheduler.advance(due);  // grid moves on; the slots are not played
       }
@@ -1502,13 +1550,14 @@ int main(int argc, char** argv) {
   // the in-flight sessions complete or time out (bounded by the session
   // timeout); a second signal skips the drain. A `ctl drain` already did
   // its draining inside the main loop. Control commands still drain here so
-  // `status` keeps answering (mutations are refused — state is draining).
+  // `get lifetime` keeps answering (mutations are refused — state is
+  // draining).
   std::uint64_t drain_slots = 0;
   std::uint64_t drained_completed = 0;
-  if (g_stop != 0 &&
-      run_state.load(std::memory_order_relaxed) != RunState::kDraining) {
-    run_state.store(RunState::kDraining, std::memory_order_relaxed);
+  if (g_stop != 0 && run_state != RunState::kDraining) {
+    run_state = RunState::kDraining;
     service.set_arrivals_enabled(false);
+    publish_health();
     while (g_stop < 2 && drain_slots < drain_cap) {
       mailbox.drain();
       if (service.active_sessions() == 0) break;
