@@ -44,17 +44,28 @@ const char* batch_policy_name(BatchPolicy policy) noexcept {
   return "?";
 }
 
+namespace {
+constexpr BatchPolicy kBatchPolicies[] = {
+    BatchPolicy::kGivenOrder, BatchPolicy::kSmallestFirst,
+    BatchPolicy::kLargestFirst, BatchPolicy::kGreedy, BatchPolicy::kFairShare};
+}  // namespace
+
 bool parse_batch_policy(std::string_view name, BatchPolicy* out) noexcept {
-  for (const BatchPolicy policy :
-       {BatchPolicy::kGivenOrder, BatchPolicy::kSmallestFirst,
-        BatchPolicy::kLargestFirst, BatchPolicy::kGreedy,
-        BatchPolicy::kFairShare}) {
+  for (const BatchPolicy policy : kBatchPolicies) {
     if (name == batch_policy_name(policy)) {
       *out = policy;
       return true;
     }
   }
   return false;
+}
+
+std::vector<std::string> batch_policy_names() {
+  std::vector<std::string> names;
+  for (const BatchPolicy policy : kBatchPolicies) {
+    names.emplace_back(batch_policy_name(policy));
+  }
+  return names;
 }
 
 BatchRouter::BatchRouter(const net::QuantumNetwork& network)

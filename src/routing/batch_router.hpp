@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -64,6 +65,9 @@ const char* batch_policy_name(BatchPolicy policy) noexcept;
 /// Parses "given-order" / "smallest-first" / "largest-first" / "greedy" /
 /// "fair-share"; returns false (out untouched) for anything else.
 bool parse_batch_policy(std::string_view name, BatchPolicy* out) noexcept;
+
+/// The names parse_batch_policy() accepts, in enum order.
+std::vector<std::string> batch_policy_names();
 
 /// One group request: the users to span. The span must stay alive for the
 /// duration of the route call; requests may share users across groups

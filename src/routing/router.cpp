@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -380,11 +379,8 @@ const Router* RouterRegistry::find(std::string_view name) const {
 
 const Router& RouterRegistry::at(std::string_view name) const {
   if (const Router* router = find(name)) return *router;
-  std::ostringstream message;
-  message << "unknown router '" << name << "' (known:";
-  for (const std::string& known : names()) message << ' ' << known;
-  message << ')';
-  throw std::out_of_range(message.str());
+  throw std::out_of_range("unknown router '" + std::string(name) +
+                          "' (known: " + known_names(" ") + ")");
 }
 
 bool RouterRegistry::contains(std::string_view name) const {
@@ -400,6 +396,15 @@ std::vector<std::string> RouterRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const Entry& e : entries_) out.push_back(e.name);
+  return out;
+}
+
+std::string RouterRegistry::known_names(std::string_view separator) const {
+  std::string out;
+  for (const std::string& name : names()) {
+    if (!out.empty()) out += separator;
+    out += name;
+  }
   return out;
 }
 

@@ -195,6 +195,9 @@ class RouterRegistry {
   /// All registered names in registration order — the paper's five first.
   std::vector<std::string> names() const;
 
+  /// names() joined with `separator`, for usage and error text.
+  std::string known_names(std::string_view separator = "|") const;
+
  private:
   RouterRegistry();
 

@@ -197,13 +197,8 @@ bool SessionService::set_algorithm(const std::string& algorithm,
     router = routing::RouterRegistry::instance().find(algorithm);
     if (router == nullptr) {
       if (error != nullptr) {
-        std::string known;
-        for (const std::string& name :
-             routing::RouterRegistry::instance().names()) {
-          if (!known.empty()) known += ", ";
-          known += name;
-        }
-        *error = "unknown algorithm '" + algorithm + "' (known: " + known +
+        *error = "unknown algorithm '" + algorithm + "' (known: " +
+                 routing::RouterRegistry::instance().known_names(", ") +
                  ", or \"\" for the built-in shared-Prim pass)";
       }
       return false;

@@ -395,9 +395,12 @@ ShardedSessionService::link_stats() const {
   std::vector<support::telemetry::LinkStat> merged;
   for (const auto& lane : lanes_) {
     if (!lane->ledger) continue;
-    // Lanes run in lockstep, so each lane's own slot is the right "now".
-    support::telemetry::merge_link_stats(
-        merged, lane->ledger->snapshot(lane->service->slot()));
+    // Lanes run in lockstep, so the merged slot is every lane's "now".
+    // It is read off the loop thread too (the daemon's link pages); during
+    // a tick it still names the previous one, which a ledger snapshot
+    // takes as "no time has passed".
+    support::telemetry::merge_link_stats(merged,
+                                         lane->ledger->snapshot(slot()));
   }
   support::telemetry::finalize_merged_link_stats(merged);
   // Endpoints from the base topology: edge a/b, switch node id in `a`.

@@ -36,6 +36,7 @@
 // exported totals are deterministic as well.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -127,8 +128,11 @@ class ShardedSessionService {
   /// run_slots(1).
   ShardTickReport step() { return run_slots(1); }
 
-  /// Slots played so far (identical for every lane).
-  std::uint64_t slot() const noexcept { return slot_; }
+  /// Slots played so far (identical for every lane). Safe to read while a
+  /// tick runs on another thread; it then still names the previous tick.
+  std::uint64_t slot() const noexcept {
+    return slot_.load(std::memory_order_relaxed);
+  }
 
   std::size_t lane_count() const noexcept { return lanes_.size(); }
   std::size_t shard_count() const noexcept { return config_.shard_count; }
@@ -247,7 +251,7 @@ class ShardedSessionService {
   /// writes only its own lanes' slots, the merge reads them after the join.
   std::vector<ShardTickReport> lane_ticks_;
   std::vector<ShardInstruments> shard_instruments_;
-  std::uint64_t slot_ = 0;
+  std::atomic<std::uint64_t> slot_{0};
   int total_switch_qubits_ = 0;
 };
 

@@ -31,16 +31,28 @@ std::string_view log_level_name(LogLevel level) noexcept {
   return "?";
 }
 
+namespace {
+constexpr LogLevel kLogLevels[] = {LogLevel::kDebug, LogLevel::kInfo,
+                                   LogLevel::kWarn, LogLevel::kError,
+                                   LogLevel::kOff};
+}  // namespace
+
 bool parse_log_level(std::string_view name, LogLevel* out) noexcept {
-  for (const LogLevel level :
-       {LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn, LogLevel::kError,
-        LogLevel::kOff}) {
+  for (const LogLevel level : kLogLevels) {
     if (name == log_level_name(level)) {
       *out = level;
       return true;
     }
   }
   return false;
+}
+
+std::vector<std::string> log_level_names() {
+  std::vector<std::string> names;
+  for (const LogLevel level : kLogLevels) {
+    names.emplace_back(log_level_name(level));
+  }
+  return names;
 }
 
 bool parse_log_format(std::string_view name, LogFormat* out) noexcept {

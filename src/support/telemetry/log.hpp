@@ -57,6 +57,9 @@ std::string_view log_level_name(LogLevel level) noexcept;
 /// Parses the names above (case-sensitive); returns false on anything else.
 bool parse_log_level(std::string_view name, LogLevel* out) noexcept;
 
+/// The names parse_log_level() accepts, most verbose first.
+std::vector<std::string> log_level_names();
+
 /// Parses "text" / "json"; returns false on anything else.
 bool parse_log_format(std::string_view name, LogFormat* out) noexcept;
 

@@ -1070,13 +1070,16 @@ TEST(MuerpdSmoke, HistoryLifetimeCarriesRejectionOnlyTraffic) {
 TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
   // An unknown router, a fair-share burst on a router without the
   // batch-native kernel and arrival probabilities outside [0, 1] (all
-  // refused by the service's own validation), and a sampler interval
-  // `ctl set sample-interval-ms` would refuse.
+  // refused by the service's own validation), a sampler interval
+  // `ctl set sample-interval-ms` would refuse, and malformed or
+  // out-of-range flag values that must not fall back to a default.
   for (const char* args :
        {"--algorithm no-such-router",
         "--arrival-burst 2 --batch-policy fair-share --algorithm alg3",
         "--arrival 5", "--arrival nan", "--arrival -0.5",
-        "--sample-interval-ms 3600001"}) {
+        "--sample-interval-ms 3600001", "--port 70000", "--port abc",
+        "--lanes two", "--arrival fast", "--record-links maybe",
+        "--timeout -1", "--slot-ms -5"}) {
     const std::string command = std::string(MUERPD_BINARY) +
                                 " --port 0 --slots 1 " + args + " 2>/dev/null";
     FILE* pipe = ::popen(command.c_str(), "r");

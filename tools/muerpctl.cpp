@@ -183,15 +183,6 @@ int cmd_info(const support::CliParser& cli) {
   return 0;
 }
 
-std::string known_algorithms() {
-  std::string known;
-  for (const std::string& name : routing::RouterRegistry::instance().names()) {
-    if (!known.empty()) known += '|';
-    known += name;
-  }
-  return known;
-}
-
 /// Routes through the RouterRegistry: any registered name works, including
 /// the satellites (alg4ls, annealing) and nfusion (star-shaped tree whose
 /// rate follows the fusion model rather than the channel-rate product).
@@ -202,7 +193,7 @@ net::EntanglementTree route_with(const std::string& algorithm,
       routing::RouterRegistry::instance().find(algorithm);
   if (router == nullptr) {
     *error = "unknown --algorithm '" + algorithm + "' (" +
-             known_algorithms() + ")";
+             routing::RouterRegistry::instance().known_names() + ")";
     return {};
   }
   routing::RoutingRequest request;
@@ -227,7 +218,7 @@ bool parse_algorithms(const std::string& list, std::vector<std::string>* out,
     if (name.empty()) continue;
     if (!registry.contains(name)) {
       *error = "unknown algorithm '" + name + "' in --algorithms (" +
-               known_algorithms() + ")";
+               registry.known_names() + ")";
       return false;
     }
     out->push_back(name);

@@ -1,7 +1,7 @@
 // muerptop — live terminal dashboard for a running muerpd.
 //
 // Polls the daemon's HTTP observability plane with the repo's own JSON
-// reader and plain POSIX sockets (no dependencies):
+// reader and HTTP client (ctl/client.hpp):
 //
 //   GET /healthz         status line: algorithm, slot, active sessions;
 //   GET /api/v1/metrics  discovers which series the history ring holds;
@@ -30,13 +30,6 @@
 //
 // Exit codes: 0 rendered at least one frame, 1 bad flags, 2 the endpoint
 // could not be reached or answered a malformed document.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -47,10 +40,13 @@
 #include <thread>
 #include <vector>
 
+#include "ctl/client.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 
 namespace {
+
+namespace ctl = muerp::ctl;
 
 volatile std::sig_atomic_t g_stop = 0;
 void handle_stop(int) { g_stop = 1; }
@@ -58,80 +54,6 @@ void handle_stop(int) { g_stop = 1; }
 int fail(const std::string& message) {
   std::cerr << "muerptop: " << message << '\n';
   return 2;
-}
-
-// ---------------------------------------------------------------------------
-// Minimal blocking HTTP/1.1 GET client (IPv4, Connection: close).
-
-struct HttpResponse {
-  int status = 0;
-  std::string body;
-};
-
-bool http_get(const std::string& host, std::uint16_t port,
-              const std::string& target, HttpResponse* out,
-              std::string* error) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    *error = "socket: " + std::string(std::strerror(errno));
-    return false;
-  }
-  timeval timeout{};
-  timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    *error = "endpoint host must be an IPv4 address, got '" + host + "'";
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    *error = "connect " + host + ":" + std::to_string(port) + ": " +
-             std::strerror(errno);
-    ::close(fd);
-    return false;
-  }
-  const std::string request = "GET " + target +
-                              " HTTP/1.1\r\nHost: " + host +
-                              "\r\nConnection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    const ssize_t n =
-        ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      *error = "send: " + std::string(std::strerror(errno));
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      *error = "recv: " + std::string(std::strerror(errno));
-      ::close(fd);
-      return false;
-    }
-    if (n == 0) break;
-    response.append(buffer, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  if (response.rfind("HTTP/1.", 0) != 0) {
-    *error = "malformed response";
-    return false;
-  }
-  out->status = std::atoi(response.c_str() + 9);
-  const std::size_t head_end = response.find("\r\n\r\n");
-  out->body = head_end == std::string::npos ? std::string()
-                                            : response.substr(head_end + 4);
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -150,12 +72,12 @@ struct Series {
 Series fetch_range(const std::string& host, std::uint16_t port,
                    const std::string& metric, long window_s, long step_s) {
   Series series;
-  HttpResponse response;
+  ctl::HttpResult response;
   std::string error;
   const std::string target = "/api/v1/range?metric=" + metric +
                              "&window=" + std::to_string(window_s) +
                              "&step=" + std::to_string(step_s);
-  if (!http_get(host, port, target, &response, &error) ||
+  if (!ctl::http_get(host, port, target, &response, &error) ||
       response.status != 200) {
     return series;
   }
@@ -246,18 +168,12 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
 
   const std::string endpoint = cli.get_string("endpoint");
-  const std::size_t colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= endpoint.size()) {
-    std::cerr << "muerptop: --endpoint must be host:port\n";
+  std::string host;
+  std::uint16_t port = 0;
+  if (std::string error; !ctl::parse_endpoint(endpoint, &host, &port, &error)) {
+    std::cerr << "muerptop: --endpoint: " << error << '\n';
     return 1;
   }
-  const std::string host = endpoint.substr(0, colon);
-  const int port_value = std::atoi(endpoint.c_str() + colon + 1);
-  if (port_value <= 0 || port_value > 65535) {
-    std::cerr << "muerptop: bad port in --endpoint '" << endpoint << "'\n";
-    return 1;
-  }
-  const auto port = static_cast<std::uint16_t>(port_value);
   const long interval_ms = cli.get_int("interval-ms").value_or(1000);
   const long window_s = cli.get_int("window").value_or(60);
   long step_s = cli.get_int("step").value_or(0);
@@ -286,9 +202,9 @@ int main(int argc, char** argv) {
     // (exit 2 — the endpoint is wrong); afterwards the daemon is probably
     // just restarting, so retry with bounded exponential backoff and a
     // visible banner instead of dying or spinning.
-    HttpResponse health;
+    ctl::HttpResult health;
     std::string error;
-    bool healthy = http_get(host, port, "/healthz", &health, &error) &&
+    bool healthy = ctl::http_get(host, port, "/healthz", &health, &error) &&
                    health.status == 200;
     if (!healthy && error.empty()) {
       error = "/healthz returned " + std::to_string(health.status);
@@ -385,8 +301,8 @@ int main(int argc, char** argv) {
     frame += "hot links (top 5 by utilization)\n";
     bool any_link = false;
     {
-      HttpResponse links;
-      if (http_get(host, port, "/api/v1/links?sort=util&limit=5", &links,
+      ctl::HttpResult links;
+      if (ctl::http_get(host, port, "/api/v1/links?sort=util&limit=5", &links,
                    &error) &&
           links.status == 200) {
         const auto doc = muerp::support::json::parse(links.body);
@@ -427,8 +343,8 @@ int main(int argc, char** argv) {
              ")\n";
     bool any_failure = false;
     for (const char* state : {"rejected", "timed_out"}) {
-      HttpResponse sessions;
-      if (!http_get(host, port,
+      ctl::HttpResult sessions;
+      if (!ctl::http_get(host, port,
                     std::string("/api/v1/sessions?limit=3&state=") + state,
                     &sessions, &error) ||
           sessions.status != 200) {
